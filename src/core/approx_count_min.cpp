@@ -13,7 +13,7 @@ namespace {
 double MinRowEstimate(AffineHash h, uint64_t thresh,
                       const std::vector<BitVec>& mins) {
   MinimumSketchRow row(std::move(h), thresh);
-  for (const BitVec& v : mins) row.AddHashed(v);
+  row.AddHashed(mins);
   return row.Estimate();
 }
 

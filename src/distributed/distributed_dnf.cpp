@@ -134,7 +134,7 @@ DistributedResult DistributedMinimumDnf(const std::vector<Dnf>& sites,
     for (const Dnf& site : sites) {
       const std::vector<BitVec> mins = FindMinDnf(site, h, result.thresh);
       result.comm.ChargeFromSites(mins.size() * static_cast<uint64_t>(3 * n));
-      for (const BitVec& v : mins) row.AddHashed(v);
+      row.AddHashed(mins);
     }
     row_estimates.push_back(row.Estimate());
   }

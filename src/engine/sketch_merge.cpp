@@ -113,9 +113,9 @@ Status Merge(MinimumSketchRow& into, const MinimumSketchRow& from) {
   if (into.thresh() != from.thresh() || !(into.hash() == from.hash())) {
     return Incompatible("minimum rows");
   }
-  // AddHashed is the KMV union: set-insert, then drop back to the Thresh
-  // smallest.
-  for (const BitVec& v : from.values()) into.AddHashed(v);
+  // The KMV union: both value arrays are ascending, so one linear merge
+  // keeps the Thresh smallest distinct values.
+  into.MergeValues(from.values());
   return Status::Ok();
 }
 

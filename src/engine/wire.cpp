@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "gf2/bitvec.hpp"
@@ -53,70 +54,93 @@ Status DecodeAscendingU64Set(ByteReader& r, uint64_t count, uint64_t max,
   return Status::Ok();
 }
 
-/// Solves A x = rhs over GF(2) for many right-hand sides sharing A: one
-/// row reduction up front (tracking, per pivot row, which combination of
-/// original rows produced it), then each solve is a handful of dot
-/// products. Powers the v2 preimage coding of KMV value sets: a Minimum
-/// row's values are hash outputs, so storing one n-bit preimage per value
-/// beats storing the m = 3n bit value — the decoder just re-hashes.
+/// Solves h(x) = value over GF(2) for many values sharing one word-universe
+/// hash (n <= 64), on packed words: one row reduction of A up front
+/// (tracking, per pivot row, which combination of A's rows produced it),
+/// then each solve is one masked parity per pivot plus a re-hash that
+/// rejects values outside the image. Powers the v2 preimage coding of KMV
+/// value sets: a Minimum row's values are hash outputs, so storing one
+/// n-bit preimage per value beats storing the m = 3n bit value — the
+/// decoder just re-hashes.
 class PreimageSolver {
  public:
-  explicit PreimageSolver(const Gf2Matrix& a) : a_(a) {
-    const int m = a.rows();
-    for (int i = 0; i < m; ++i) {
-      BitVec row = a.Row(i);
-      BitVec combo(m);
-      combo.Set(i, true);
+  explicit PreimageSolver(const AffineHash& h)
+      : h_(h), stride_(static_cast<size_t>(h.out_words())) {
+    MCF0_DCHECK(h.n() <= 64);
+    std::vector<uint64_t> combo(stride_);
+    // Rank is at most n: once n pivots exist every later row reduces to
+    // zero, so the scan stops there.
+    for (int i = 0; i < h.m() && pivots_.size() < static_cast<size_t>(h.n());
+         ++i) {
+      uint64_t row = h.A().Row(i).words()[0];
+      std::fill(combo.begin(), combo.end(), 0);
+      combo[static_cast<size_t>(i / 64)] = 1ull << (63 - i % 64);
       for (size_t k = 0; k < rows_.size(); ++k) {
-        if (row.Get(pivots_[k])) {
+        if (row & Column(pivots_[k])) {
           row ^= rows_[k];
-          combo ^= combos_[k];
+          for (size_t w = 0; w < stride_; ++w) {
+            combo[w] ^= combos_[k * stride_ + w];
+          }
         }
       }
-      const int lead = row.LeadingBit();
-      if (lead < 0) continue;  // linearly dependent on earlier rows
+      if (row == 0) continue;  // linearly dependent on earlier rows
+      const int lead = std::countl_zero(row);
       for (size_t k = 0; k < rows_.size(); ++k) {
-        if (rows_[k].Get(lead)) {
+        if (rows_[k] & Column(lead)) {
           rows_[k] ^= row;
-          combos_[k] ^= combo;
+          for (size_t w = 0; w < stride_; ++w) {
+            combos_[k * stride_ + w] ^= combo[w];
+          }
         }
       }
-      rows_.push_back(std::move(row));
-      combos_.push_back(std::move(combo));
+      rows_.push_back(row);
+      combos_.insert(combos_.end(), combo.begin(), combo.end());
       pivots_.push_back(lead);
     }
   }
 
-  /// The canonical solution (free variables zero), or nullopt when the
-  /// system is inconsistent. Deterministic, so re-encoding a decoded row
+  /// The canonical preimage (free variables zero) of the m-bit `value`, or
+  /// nullopt when it has none. Deterministic, so re-encoding a decoded row
   /// reproduces the exact preimage bytes.
-  std::optional<BitVec> Solve(const BitVec& rhs) const {
-    BitVec x(a_.cols());
-    for (size_t k = 0; k < rows_.size(); ++k) {
-      if (combos_[k].DotF2(rhs)) x.Set(pivots_[k], true);
+  std::optional<uint64_t> Solve(std::span<const uint64_t> value) const {
+    const std::vector<uint64_t>& b = h_.b().words();
+    uint64_t x = 0;
+    for (size_t k = 0; k < pivots_.size(); ++k) {
+      int parity = 0;
+      for (size_t w = 0; w < stride_; ++w) {
+        parity ^= std::popcount(combos_[k * stride_ + w] & (value[w] ^ b[w]));
+      }
+      if (parity & 1) x |= Column(pivots_[k]);
     }
-    if (!(a_.Mul(x) == rhs)) return std::nullopt;
-    return x;
+    for (size_t w = 0; w < stride_; ++w) {
+      if (h_.EvalWord(x, static_cast<int>(w)) != value[w]) return std::nullopt;
+    }
+    return x >> (64 - h_.n());
   }
 
  private:
-  const Gf2Matrix& a_;
-  std::vector<BitVec> rows_;    // RREF rows of A
-  std::vector<BitVec> combos_;  // rows_[k] = combos_[k] · (original rows)
-  std::vector<int> pivots_;
+  /// Input column j's bit in a packed row (BitVec layout).
+  static uint64_t Column(int j) { return 1ull << (63 - j); }
+
+  const AffineHash& h_;
+  size_t stride_;                 // words per combination: ceil(m / 64)
+  std::vector<uint64_t> rows_;    // reduced rows of A, one word each
+  std::vector<uint64_t> combos_;  // rows_[k] = combo k · (A's rows)
+  std::vector<int> pivots_;       // leading column of each reduced row
 };
 
 /// The sorted canonical preimages of every KMV value, or nullopt if any
 /// value has none (then the explicit-value fallback encoding is used).
 std::optional<std::vector<uint64_t>> KmvPreimages(const MinimumSketchRow& row) {
   if (row.hash().n() > 64) return std::nullopt;
-  const PreimageSolver solver(row.hash().A());
+  const MinimumSketchRow::Values values = row.values();
+  const PreimageSolver solver(row.hash());
   std::vector<uint64_t> preimages;
-  preimages.reserve(row.values().size());
-  for (const BitVec& value : row.values()) {
-    const std::optional<BitVec> x = solver.Solve(value ^ row.hash().b());
+  preimages.reserve(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    const std::optional<uint64_t> x = solver.Solve(values.words(i));
     if (!x.has_value()) return std::nullopt;
-    preimages.push_back(x->ToU64());
+    preimages.push_back(*x);
   }
   std::sort(preimages.begin(), preimages.end());
   return preimages;
@@ -692,13 +716,14 @@ void EncodeMinimumPayload(ByteWriter& w, const MinimumSketchRow& row,
   if (version == SketchCodec::kFormatV1) {
     EncodeAffineHash(w, row.hash(), version);
     w.U64(row.thresh());
-    w.U64(row.values().size());  // std::set iterates in canonical order
-    for (const BitVec& v : row.values()) w.BitVecField(v);
+    const MinimumSketchRow::Values values = row.values();
+    w.U64(values.size());  // ascending: the canonical order
+    for (size_t i = 0; i < values.size(); ++i) w.BitVecField(values[i]);
     return;
   }
   if (embed_hash) EncodeAffineHash(w, row.hash(), version);
   w.Varint(row.thresh());
-  w.Varint(row.values().size());
+  w.Varint(row.size());
   // Preimage coding: each m = 3n bit KMV value shrinks to the n-bit
   // element that hashes to it, delta-coded as a sorted set; the decoder
   // re-hashes. Values without preimages (inserted via AddHashed by the §4
@@ -708,7 +733,8 @@ void EncodeMinimumPayload(ByteWriter& w, const MinimumSketchRow& row,
   if (preimages.has_value()) {
     EncodeAscendingU64Set(w, *preimages);
   } else {
-    for (const BitVec& v : row.values()) w.RawBits(v);
+    const MinimumSketchRow::Values values = row.values();
+    for (size_t i = 0; i < values.size(); ++i) w.RawBits(values[i]);
   }
 }
 
@@ -743,14 +769,17 @@ Status DecodeMinimumPayload(ByteReader& r, uint16_t version,
   if (count > r.Remaining()) return Truncated("minimum values");
   if (v1) {
     out->emplace(*std::move(h), thresh);
+    // v1 values may come in any order: one batch insert sorts them once.
+    std::vector<BitVec> values;
     for (uint64_t i = 0; i < count; ++i) {
       BitVec v;
       if (!r.BitVecField(&v)) return Truncated("minimum values");
       if (v.size() != out->value().output_bits()) {
         return Status::ParseError("minimum value width mismatch");
       }
-      out->value().AddHashed(v);
+      values.push_back(std::move(v));
     }
+    out->value().AddHashed(values);
     return Status::Ok();
   }
   uint8_t preimage_coded = 0;
@@ -772,8 +801,8 @@ Status DecodeMinimumPayload(ByteReader& r, uint16_t version,
     Status set_status = DecodeAscendingU64Set(r, count, UniverseMax(n),
                                               "minimum values", &preimages);
     if (!set_status.ok()) return set_status;
-    for (const uint64_t x : preimages) row.Add(x);
-    if (row.values().size() != count) {
+    row.Add(preimages);
+    if (row.size() != count) {
       // Two preimages collided on one hash value; the canonical encoder
       // derives one preimage per distinct value, so this blob is bogus.
       return Status::ParseError("minimum preimages collide");
@@ -782,29 +811,23 @@ Status DecodeMinimumPayload(ByteReader& r, uint16_t version,
     // (free-variables-zero) solution — for a rank-deficient hash, x ⊕ k
     // with kernel vector k would hash identically, and accepting it would
     // give one row state two wire encodings, unlike every other v2 field.
-    if (count > 0) {
-      const PreimageSolver solver(row.hash().A());
-      for (const uint64_t x : preimages) {
-        const BitVec hashed =
-            row.hash().Eval(BitVec::FromU64(x, n)) ^ row.hash().b();
-        const std::optional<BitVec> canonical = solver.Solve(hashed);
-        if (!canonical.has_value() || canonical->ToU64() != x) {
-          return Status::ParseError("minimum preimage is not canonical");
-        }
-      }
+    // The values are distinct, so this holds iff re-deriving the sorted
+    // preimages from the row gives back exactly the shipped list.
+    if (KmvPreimages(row) != preimages) {
+      return Status::ParseError("minimum preimage is not canonical");
     }
     return Status::Ok();
   }
-  BitVec prev;
+  std::vector<BitVec> values;
   for (uint64_t i = 0; i < count; ++i) {
     BitVec v;
     if (!r.RawBits(row.output_bits(), &v)) return Truncated("minimum values");
-    if (i > 0 && !(prev < v)) {
+    if (i > 0 && !(values.back() < v)) {
       return Status::ParseError("minimum values not strictly ascending");
     }
-    prev = v;
-    row.AddHashed(v);
+    values.push_back(std::move(v));
   }
+  row.AddHashed(values);
   return Status::Ok();
 }
 

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <utility>
 
 #include "common/rng.hpp"
 
@@ -15,6 +16,15 @@ BitVec BitVec::FromU64(uint64_t value, int nbits) {
     // Place the nbits-bit big-endian representation at the top of word 0.
     v.words_[0] = value << (64 - nbits);
   }
+  return v;
+}
+
+BitVec BitVec::FromWords(int size, std::vector<uint64_t> words) {
+  MCF0_CHECK(size >= 0 && words.size() == static_cast<size_t>(NumWords(size)));
+  BitVec v;
+  v.size_ = size;
+  v.words_ = std::move(words);
+  v.MaskTail();
   return v;
 }
 

@@ -42,6 +42,11 @@ class BitVec {
   /// nbits < 64.
   static BitVec FromU64(uint64_t value, int nbits);
 
+  /// The `size`-bit string stored in `words` (this class's packed layout:
+  /// string position j at bit 63 - j % 64 of word j / 64). Requires
+  /// ceil(size / 64) words; bits past `size` are cleared.
+  static BitVec FromWords(int size, std::vector<uint64_t> words);
+
   /// Parses a string of '0'/'1' characters.
   static BitVec FromString(const std::string& s);
 

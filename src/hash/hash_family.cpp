@@ -1,6 +1,8 @@
 #include "hash/hash_family.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "common/rng.hpp"
 
@@ -89,19 +91,47 @@ BitVec AffineHash::ToeplitzSeed() const {
   return seed;
 }
 
+BitVec AffineHash::Eval(const BitVec& x) const {
+  if (n() > 64) return a_.MulAffine(x, b_);
+  MCF0_CHECK(x.size() == n());
+  const uint64_t xw = x.words().empty() ? 0 : x.words()[0];
+  std::vector<uint64_t> words(static_cast<size_t>(out_words()));
+  for (int w = 0; w < out_words(); ++w) {
+    words[static_cast<size_t>(w)] = EvalWord(xw, w);
+  }
+  return BitVec::FromWords(m(), std::move(words));
+}
+
+uint64_t AffineHash::EvalWord(uint64_t packed_x, int w) const {
+  MCF0_DCHECK(n() <= 64 && w >= 0 && w < out_words());
+  return EvalBits(packed_x, 64 * w, std::min(64, m() - 64 * w));
+}
+
+uint64_t AffineHash::EvalBits(uint64_t packed_x, int first, int count) const {
+  const uint64_t* rows = packed_rows_.data() + first;
+  // Assembled most-significant-first, then left-aligned: output bit
+  // first + k lands at word bit 63 - k.
+  uint64_t out = 0;
+  for (int k = 0; k < count; ++k) {
+    out = (out << 1) |
+          static_cast<uint64_t>(std::popcount(rows[k] & packed_x) & 1);
+  }
+  return (out << (64 - count)) ^ b_.words()[static_cast<size_t>(first / 64)];
+}
+
 BitVec AffineHash::EvalPrefix(const BitVec& x, int l) const {
   MCF0_CHECK(l >= 0 && l <= m());
-  BitVec y(l);
-  if (!packed_rows_.empty() || n() == 0) {
-    // Word-sized input: x is one (masked) word, so each output bit is a
-    // single AND + parity against the packed row.
+  if (n() <= 64) {
+    // Word-sized input: the first l output bits, word by word.
     const uint64_t xw = x.words().empty() ? 0 : x.words()[0];
-    for (int i = 0; i < l; ++i) {
-      const bool dot = std::popcount(packed_rows_[static_cast<size_t>(i)] & xw) & 1;
-      if (dot != b_.Get(i)) y.Set(i, true);
+    std::vector<uint64_t> words(static_cast<size_t>((l + 63) / 64));
+    for (size_t w = 0; w < words.size(); ++w) {
+      const int first = 64 * static_cast<int>(w);
+      words[w] = EvalBits(xw, first, std::min(64, l - first));
     }
-    return y;
+    return BitVec::FromWords(l, std::move(words));
   }
+  BitVec y(l);
   for (int i = 0; i < l; ++i) {
     if (a_.Row(i).DotF2(x) != b_.Get(i)) y.Set(i, true);
   }
@@ -110,18 +140,7 @@ BitVec AffineHash::EvalPrefix(const BitVec& x, int l) const {
 
 uint64_t AffineHash::Eval64(uint64_t x) const {
   MCF0_CHECK(n() <= 64 && m() <= 64);
-  // Pack x the way BitVec::FromU64 does (big-endian at the top of the
-  // word); each output bit is then parity(row_word & x_word), assembled
-  // most-significant-first to match BitVec::ToU64.
-  const uint64_t xw =
-      (n() == 64) ? x : ((x & ((1ull << n()) - 1)) << (64 - n()));
-  uint64_t out = 0;
-  for (int i = 0; i < m(); ++i) {
-    out = (out << 1) |
-          static_cast<uint64_t>(
-              std::popcount(packed_rows_[static_cast<size_t>(i)] & xw) & 1);
-  }
-  return out ^ b_.ToU64();
+  return EvalWord(PackInput(x), 0) >> (64 - m());
 }
 
 AffineHash AffineHash::PrefixHash(int l) const {

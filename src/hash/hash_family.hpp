@@ -71,8 +71,9 @@ class AffineHash {
   int m() const { return a_.rows(); }
   AffineHashKind kind() const { return kind_; }
 
-  /// h(x) = A x + b for an n-bit input.
-  BitVec Eval(const BitVec& x) const { return a_.MulAffine(x, b_); }
+  /// h(x) = A x + b for an n-bit input. Word-sized inputs (n <= 64) run
+  /// word by word through EvalWord; wider ones through the dense matrix.
+  BitVec Eval(const BitVec& x) const;
 
   /// Prefix slice h_l(x): the first l bits of h(x) (§2).
   BitVec EvalPrefix(const BitVec& x, int l) const;
@@ -82,6 +83,25 @@ class AffineHash {
   /// m <= 64). Runs on the packed row words — one AND + popcount-parity
   /// per output bit, no BitVec allocation.
   uint64_t Eval64(uint64_t x) const;
+
+  /// Element x of the word universe (n <= 64) in the input layout EvalWord
+  /// takes: the n-bit big-endian encoding of x's low n bits at the top of
+  /// the word — a one-word BitVec's storage.
+  uint64_t PackInput(uint64_t x) const {
+    MCF0_DCHECK(n() >= 1 && n() <= 64);
+    return x << (64 - n());
+  }
+
+  /// Output word w of h for a word-sized input (n <= 64), allocation-free:
+  /// bits [64 w, min(m, 64 w + 64)) of h(x) in the BitVec word layout
+  /// (string position 64 w + k at word bit 63 - k, unused low bits zero),
+  /// so words compare lexicographically as plain integers. `packed_x` is
+  /// the input as PackInput returns it. One AND + popcount parity per
+  /// output bit against the packed rows.
+  uint64_t EvalWord(uint64_t packed_x, int w) const;
+
+  /// ceil(m / 64): how many words EvalWord can produce.
+  int out_words() const { return (m() + 63) / 64; }
 
   /// The hash restricted to its first l output bits as a standalone hash.
   AffineHash PrefixHash(int l) const;
@@ -102,15 +122,20 @@ class AffineHash {
  private:
   AffineHash(Gf2Matrix a, BitVec b, AffineHashKind kind, size_t repr_bits);
 
+  /// Output bits [first, first + count) of h for a word-sized input,
+  /// left-aligned in the BitVec word layout; `first` is a multiple of 64,
+  /// 1 <= count <= 64, and bits past count carry b's bits (callers mask).
+  uint64_t EvalBits(uint64_t packed_x, int first, int count) const;
+
   Gf2Matrix a_;
   BitVec b_;
   AffineHashKind kind_;
   size_t repr_bits_;
   /// When n <= 64, row i of A packed into one word (the BitVec layout:
   /// input bit j at word bit 63 - j). Built once at construction so
-  /// Eval64 / EvalPrefix on word-sized universes are AND + parity per
-  /// output bit. Empty when n > 64. Derived state — not part of
-  /// operator== or any serialized form.
+  /// EvalWord / Eval64 / EvalPrefix on word-sized universes are AND +
+  /// parity per output bit. Empty when n > 64. Derived state — not part
+  /// of operator== or any serialized form.
   std::vector<uint64_t> packed_rows_;
 };
 

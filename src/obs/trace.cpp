@@ -48,9 +48,20 @@ RingDirectory& Directory() {
 
 SpanRing& ThreadRing() {
   thread_local std::shared_ptr<SpanRing> ring = [] {
-    auto fresh = std::make_shared<SpanRing>();
     RingDirectory& dir = Directory();
     std::lock_guard<std::mutex> lock(dir.mu);
+    // A ring owned by the directory alone belongs to an exited thread
+    // (owners are only added under dir.mu). Adopting it bounds the
+    // directory by the most threads ever traced at once rather than by
+    // every thread ever started — engines start workers per instance.
+    for (const std::shared_ptr<SpanRing>& orphan : dir.rings) {
+      if (orphan.use_count() == 1) {
+        std::lock_guard<std::mutex> ring_lock(orphan->mu);
+        orphan->tid = dir.next_tid++;
+        return orphan;
+      }
+    }
+    auto fresh = std::make_shared<SpanRing>();
     fresh->tid = dir.next_tid++;
     dir.rings.push_back(fresh);
     return fresh;

@@ -4,8 +4,11 @@
 /// Each thread owns a fixed-capacity ring buffer of completed spans;
 /// a span records its (static) name, start time relative to process
 /// start, duration in microseconds, and a small per-thread id. Rings
-/// outlive their threads so DrainSpansJson() can collect everything
-/// the process traced. Recording takes the owning ring's (uncontended
+/// outlive their threads so DrainSpansJson() can collect what exited
+/// threads traced; a thread that starts later adopts an exited thread's
+/// ring (with a fresh id) and overwrites its oldest undrained spans as
+/// the ring wraps, so memory is bounded by the most threads traced at
+/// once. Recording takes the owning ring's (uncontended
 /// except during a drain) mutex — spans are for coarse phases, not
 /// per-item hot loops; the lock-free budget belongs to metrics.hpp.
 ///

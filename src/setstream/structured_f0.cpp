@@ -186,11 +186,13 @@ void StructuredF0::AddTerms(const std::vector<Term>& terms) {
       images.push_back(TermImageUnderHash(t, params_.n, row.hash()));
     }
     UnionLexEnumerator merge(std::move(images));
+    std::vector<BitVec> mins;
     for (uint64_t i = 0; i < thresh_; ++i) {
       auto v = merge.Next();
       if (!v.has_value()) break;
-      row.AddHashed(*v);
+      mins.push_back(*std::move(v));
     }
+    row.AddHashed(mins);
   }
   for (auto& row : bucket_rows_) BucketAddTerms(&row, terms);
 }
@@ -248,10 +250,12 @@ void StructuredF0::AddAffine(const Gf2Matrix& a, const BitVec& b) {
     auto image = AffineImageUnderHash(a, b, row.hash());
     if (!image.has_value()) continue;  // empty set
     BitVec tau(image->dim());
+    std::vector<BitVec> values;
     for (uint64_t i = 0; i < thresh_; ++i) {
-      row.AddHashed(image->Element(tau));
+      values.push_back(image->Element(tau));
       if (!tau.Increment()) break;
     }
+    row.AddHashed(values);
   }
   for (auto& row : bucket_rows_) BucketAddAffine(&row, a, b);
 }
@@ -261,9 +265,7 @@ void StructuredF0::AddCnf(const Cnf& cnf) {
   CnfOracle oracle(cnf);
   for (auto& row : min_rows_) {
     // Observation 2 path: the row's B' computed by oracle prefix search.
-    for (const BitVec& v : FindMinCnf(oracle, row.hash(), thresh_)) {
-      row.AddHashed(v);
-    }
+    row.AddHashed(FindMinCnf(oracle, row.hash(), thresh_));
   }
   for (auto& row : bucket_rows_) {
     // Enumerate the item's solutions inside the current cell via the

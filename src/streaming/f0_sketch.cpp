@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <iterator>
 #include <limits>
+#include <numeric>
+#include <ranges>
 #include <utility>
 
 #include "common/rng.hpp"
@@ -70,52 +73,169 @@ size_t BucketingSketchRow::SpaceBits() const {
 
 // ---- MinimumSketchRow ---------------------------------------------------
 
+BitVec MinimumSketchRow::Values::operator[](size_t i) const {
+  const std::span<const uint64_t> w = words(i);
+  return BitVec::FromWords(bits_, std::vector<uint64_t>(w.begin(), w.end()));
+}
+
 MinimumSketchRow::MinimumSketchRow(int n, uint64_t thresh, Rng& rng)
-    : n_(n), thresh_(thresh), h_(AffineHash::SampleToeplitz(n, 3 * n, rng)) {
+    : MinimumSketchRow(AffineHash::SampleToeplitz(n, 3 * n, rng), thresh) {
   MCF0_CHECK(n >= 1 && n <= 64);
-  MCF0_CHECK(thresh >= 1);
 }
 
 MinimumSketchRow::MinimumSketchRow(AffineHash h, uint64_t thresh)
-    : n_(h.n()), thresh_(thresh), h_(std::move(h)) {
-  MCF0_CHECK(thresh >= 1);
+    : thresh_(thresh),
+      h_(std::move(h)),
+      stride_(static_cast<size_t>(h_.out_words())) {
+  MCF0_CHECK(thresh >= 1 && h_.m() >= 1);
 }
 
-void MinimumSketchRow::Add(uint64_t x) {
-  AddHashed(
-      h_.Eval(BitVec::FromU64(n_ == 64 ? x : (x & ((1ull << n_) - 1)), n_)));
+std::span<const uint64_t> MinimumSketchRow::Key(size_t i) const {
+  return std::span<const uint64_t>(keys_).subspan(i * stride_, stride_);
 }
+
+size_t MinimumSketchRow::LowerBound(std::span<const uint64_t> key, size_t lo,
+                                    size_t end) const {
+  const auto below = [&](size_t i) {
+    return std::ranges::lexicographical_compare(Key(i), key);
+  };
+  // Gallop: every key before lo is below `key`; double the step past keys
+  // that are too, then bisect the last window.
+  size_t step = 1;
+  while (lo + step < end && below(lo + step - 1)) {
+    lo += step;
+    step *= 2;
+  }
+  return *std::ranges::partition_point(
+      std::views::iota(lo, std::min(end, lo + step)), below);
+}
+
+void MinimumSketchRow::InsertRun(std::span<const uint64_t> run) {
+  const size_t kept = size();
+  const size_t count = run.size() / stride_;
+  const auto run_key = [&](size_t j) { return run.subspan(j * stride_, stride_); };
+  // Each run key's lower bound among the kept keys, or kHeld when it is
+  // kept already. The run ascends, so each search gallops on from the last.
+  constexpr size_t kHeld = std::numeric_limits<size_t>::max();
+  std::vector<size_t> at(count);
+  size_t fresh = 0;
+  for (size_t j = 0, lo = 0; j < count; ++j) {
+    lo = LowerBound(run_key(j), lo, kept);
+    const bool held = lo < kept && std::ranges::equal(Key(lo), run_key(j));
+    at[j] = held ? kHeld : lo;
+    if (!held) ++fresh;
+  }
+  if (fresh == 0) return;
+  const size_t final_size = std::min<uint64_t>(thresh_, kept + fresh);
+  keys_.resize(final_size * stride_);
+  // Back to front: kept keys [0, end) have not moved yet, and slot `write`
+  // is one past where the next key (in descending order) lands. Keys that
+  // land at or past final_size are the ones truncated away.
+  size_t end = kept;
+  size_t write = kept + fresh;
+  for (size_t j = count; j-- > 0;) {
+    if (at[j] == kHeld) continue;
+    const size_t p = at[j];
+    // Kept keys [p, end) shift up to [dest, write).
+    const size_t dest = write - (end - p);
+    if (dest < final_size) {
+      const size_t last = std::min(end, p + (final_size - dest));
+      std::copy_backward(keys_.begin() + p * stride_,
+                         keys_.begin() + last * stride_,
+                         keys_.begin() + (dest + last - p) * stride_);
+    }
+    end = p;
+    write = dest - 1;
+    if (write < final_size) {
+      std::ranges::copy(run_key(j), keys_.begin() + write * stride_);
+    }
+  }
+}
+
+void MinimumSketchRow::InsertUnsorted(std::vector<uint64_t>& pending) {
+  const size_t count = pending.size() / stride_;
+  const auto key = [&](size_t i) {
+    return std::span<const uint64_t>(pending).subspan(i * stride_, stride_);
+  };
+  const auto less = [&](size_t a, size_t b) {
+    return std::ranges::lexicographical_compare(key(a), key(b));
+  };
+  size_t ascending = 1;  // length of the strictly ascending prefix
+  while (ascending < count && less(ascending - 1, ascending)) ++ascending;
+  if (ascending >= count) {  // already a run (enumerators emit in order)
+    InsertRun(pending);
+    pending.clear();
+    return;
+  }
+  std::vector<size_t> order(count);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::ranges::sort(order, less);
+  std::vector<uint64_t> run;
+  run.reserve(pending.size());
+  for (size_t k = 0; k < count; ++k) {
+    if (k > 0 && std::ranges::equal(key(order[k]), key(order[k - 1]))) {
+      continue;
+    }
+    std::ranges::copy(key(order[k]), std::back_inserter(run));
+  }
+  InsertRun(run);
+  pending.clear();
+}
+
+void MinimumSketchRow::Add(uint64_t x) { Add(std::span<const uint64_t>(&x, 1)); }
 
 void MinimumSketchRow::Add(std::span<const uint64_t> xs) {
-  for (const uint64_t x : xs) Add(x);
+  MCF0_CHECK(h_.n() <= 64);
+  std::vector<uint64_t> pending;
+  for (const uint64_t x : xs) {
+    const uint64_t xw = h_.PackInput(x);
+    const uint64_t top = h_.EvalWord(xw, 0);
+    if (saturated() && top > MaxTopWord()) continue;  // not among the smallest
+    pending.push_back(top);
+    for (size_t w = 1; w < stride_; ++w) {
+      pending.push_back(h_.EvalWord(xw, static_cast<int>(w)));
+    }
+    if (pending.size() / stride_ >= thresh_) InsertUnsorted(pending);
+  }
+  if (!pending.empty()) InsertUnsorted(pending);
 }
 
 void MinimumSketchRow::AddHashed(const BitVec& value) {
-  MCF0_DCHECK(value.size() == h_.m());
-  if (values_.size() >= thresh_) {
-    auto last = std::prev(values_.end());
-    if (!(value < *last)) return;  // not among the thresh smallest
-    values_.insert(value);
-    if (values_.size() > thresh_) values_.erase(std::prev(values_.end()));
-  } else {
-    values_.insert(value);
+  AddHashed(std::span<const BitVec>(&value, 1));
+}
+
+void MinimumSketchRow::AddHashed(std::span<const BitVec> values) {
+  std::vector<uint64_t> pending;
+  for (const BitVec& value : values) {
+    MCF0_CHECK(value.size() == h_.m());
+    const std::vector<uint64_t>& words = value.words();
+    if (saturated() && words[0] > MaxTopWord()) continue;
+    pending.insert(pending.end(), words.begin(), words.end());
+    if (pending.size() / stride_ >= thresh_) InsertUnsorted(pending);
   }
+  if (!pending.empty()) InsertUnsorted(pending);
+}
+
+void MinimumSketchRow::MergeValues(const Values& other) {
+  MCF0_CHECK(other.bits_ == h_.m());
+  // A row merged with itself holds no fresh key, so InsertRun returns
+  // before it resizes the store `other` views.
+  InsertRun(other.keys_);
 }
 
 double MinimumSketchRow::Estimate() const {
-  if (values_.size() < thresh_) {
+  if (!saturated()) {
     // Sub-threshold regime: every distinct hash value is retained, so the
     // sketch size itself is the (collision-free w.h.p. at 3n bits) count.
-    return static_cast<double>(values_.size());
+    return static_cast<double>(size());
   }
-  const BitVec& max = *values_.rbegin();
-  const double max_value = max.ToDouble();
-  MCF0_DCHECK(max_value > 0.0);
+  const double max_value = values()[size() - 1].ToDouble();
+  if (max_value == 0.0) return std::numeric_limits<double>::infinity();
   return static_cast<double>(thresh_) * std::pow(2.0, h_.m()) / max_value;
 }
 
 size_t MinimumSketchRow::SpaceBits() const {
-  return values_.size() * static_cast<size_t>(h_.m()) + h_.RepresentationBits();
+  return size() * static_cast<size_t>(h_.m()) + h_.RepresentationBits();
 }
 
 // ---- EstimationSketchRow ------------------------------------------------

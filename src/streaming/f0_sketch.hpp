@@ -18,10 +18,10 @@
 /// actual sketch footprints rather than asymptotics.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <span>
 #include <unordered_set>
 #include <vector>
@@ -80,8 +80,53 @@ class BucketingSketchRow {
 
 /// One Minimum (KMV) row: the `thresh` lexicographically smallest distinct
 /// values of h(a) for h: {0,1}^n -> {0,1}^{3n}.
+///
+/// Store: one flat ascending std::vector<uint64_t>. Each value is a key of
+/// stride = ceil(m / 64) words in the BitVec word layout (string position j
+/// at bit 63 - j % 64 of word j / 64, unused low bits zero), so the paper's
+/// lexicographic order is big-endian word order: compare word 0, then
+/// word 1, and so on. The same store serves every width, including the
+/// structured (§5) rows with n > 64 that are fed through AddHashed.
+///
+/// Reject rule: Add(x) evaluates output word 0 of h(x) first. On a
+/// saturated row, a value whose word 0 is above word 0 of the current
+/// maximum cannot be among the thresh smallest, so it is dropped before the
+/// remaining words are computed. Values that pass are completed and
+/// collected; each batch is sorted once and merged into the store, which
+/// then drops back to the thresh smallest. Inserting a batch costs one
+/// sort plus one shift of the store, never one shift per value, so bulk
+/// loads (decoding, merging) stay O(k log k + thresh) for k values.
 class MinimumSketchRow {
  public:
+  /// Read view of the values, ascending: the count, the words of each
+  /// value, and BitVec materialisation for cold callers (codec fallbacks,
+  /// tests). Invalidated by any mutation of the row.
+  class Values {
+   public:
+    size_t size() const { return keys_.size() / stride_; }
+    bool empty() const { return keys_.empty(); }
+    /// The i-th smallest value's words (BitVec word layout).
+    std::span<const uint64_t> words(size_t i) const {
+      return keys_.subspan(i * stride_, stride_);
+    }
+    /// The i-th smallest value as an m-bit BitVec.
+    BitVec operator[](size_t i) const;
+
+    /// Same width and the same values.
+    friend bool operator==(const Values& a, const Values& b) {
+      return a.bits_ == b.bits_ && std::ranges::equal(a.keys_, b.keys_);
+    }
+
+   private:
+    friend class MinimumSketchRow;
+    Values(std::span<const uint64_t> keys, int bits, size_t stride)
+        : keys_(keys), bits_(bits), stride_(stride) {}
+
+    std::span<const uint64_t> keys_;
+    int bits_;
+    size_t stride_;
+  };
+
   MinimumSketchRow(int n, uint64_t thresh, Rng& rng);
 
   /// Wraps an explicitly sampled hash — the transformation-recipe entry
@@ -89,32 +134,64 @@ class MinimumSketchRow {
   /// feeding FindMin outputs through AddHashed, then calls Estimate().
   MinimumSketchRow(AffineHash h, uint64_t thresh);
 
+  /// Absorbs element x of the word universe; requires n <= 64. Applies the
+  /// word-0 reject rule above. An accepted value shifts the store once,
+  /// O(thresh) words, so streams at a large thresh belong in the batch Add.
   void Add(uint64_t x);
 
-  /// Batch absorb; byte-identical to item-by-item Add (set insertion is
-  /// order-independent).
+  /// Batch absorb; byte-identical to item-by-item Add (the kept set is the
+  /// thresh smallest distinct values, whatever the order).
   void Add(std::span<const uint64_t> xs);
 
-  /// Inserts an already-hashed value — the merge path used by the
+  /// Inserts an already-hashed m-bit value — the merge path used by the
   /// structured-set streaming algorithms (§5) and the distributed
   /// coordinator (§4), which receive hash values rather than elements.
   void AddHashed(const BitVec& value);
 
+  /// Batch AddHashed in any order: equal to one AddHashed per value, at
+  /// one sort per batch rather than one shift of the store per value.
+  void AddHashed(std::span<const BitVec> values);
+
+  /// KMV union with another row's values of the same width: the ascending
+  /// keys of `other` merge in as one sorted run, truncated to thresh.
+  /// Equal to AddHashed of every value in `other`.
+  void MergeValues(const Values& other);
+
   /// thresh * 2^m / max(S) when saturated; |S| (exact regime) otherwise.
+  /// A saturated row whose maximum is 0^m (thresh 1 holding the all-zero
+  /// value, which decoded state can carry since thresh travels on the
+  /// wire) returns +inf, the limit of the formula as max(S) -> 0.
   double Estimate() const;
 
-  bool saturated() const { return values_.size() >= thresh_; }
-  const std::set<BitVec>& values() const { return values_; }
+  bool saturated() const { return size() >= thresh_; }
+  size_t size() const { return keys_.size() / stride_; }
+  Values values() const { return Values(keys_, h_.m(), stride_); }
   uint64_t thresh() const { return thresh_; }
   size_t SpaceBits() const;
   int output_bits() const { return h_.m(); }
   const AffineHash& hash() const { return h_; }
 
  private:
-  int n_;
+  /// Word 0 of the largest kept value; requires a non-empty row.
+  uint64_t MaxTopWord() const { return keys_[keys_.size() - stride_]; }
+  /// The i-th smallest kept key.
+  std::span<const uint64_t> Key(size_t i) const;
+  /// The first of the kept keys [lo, end) that is not below `key`, given
+  /// that every kept key before lo is.
+  size_t LowerBound(std::span<const uint64_t> key, size_t lo,
+                    size_t end) const;
+  /// Merges `run` (ascending, distinct keys) into the store, keeping the
+  /// thresh smallest: galloping searches place the run keys, then one
+  /// back-to-front pass shifts each block of kept keys once.
+  void InsertRun(std::span<const uint64_t> run);
+  /// Sorts and dedupes the candidate keys in `pending`, inserts them with
+  /// InsertRun and clears `pending`.
+  void InsertUnsorted(std::vector<uint64_t>& pending);
+
   uint64_t thresh_;
   AffineHash h_;  // n -> 3n
-  std::set<BitVec> values_;
+  size_t stride_;
+  std::vector<uint64_t> keys_;  // size() keys of stride_ words, ascending
 };
 
 /// One Estimation row: `num_cols` s-wise independent hash functions; cell j

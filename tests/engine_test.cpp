@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -410,6 +412,65 @@ TEST(SketchCodecTest, V2KmvFallsBackWhenValuesHaveNoPreimage) {
   }
 }
 
+TEST(SketchCodecTest, DecodedZeroMaximumEstimatesInfinityWithoutAborting) {
+  // thresh comes from the wire, so a decoded row can be saturated by the
+  // single value 0^m. Estimate() divides by max(S); it must return +inf
+  // (the formula's limit) rather than reach a CHECK on decoded state.
+  Rng rng(67);
+  MinimumSketchRow row(AffineHash::SampleToeplitz(8, 24, rng), 1);
+  row.AddHashed(BitVec(24));
+  ASSERT_TRUE(row.saturated());
+  EXPECT_EQ(row.Estimate(), std::numeric_limits<double>::infinity());
+  for (const uint16_t version : kBothVersions) {
+    Result<MinimumSketchRow> decoded =
+        SketchCodec::DecodeMinimumRow(SketchCodec::Encode(row, version));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_TRUE(decoded.value().values() == row.values());
+    EXPECT_EQ(decoded.value().Estimate(),
+              std::numeric_limits<double>::infinity());
+  }
+}
+
+TEST(SketchCodecTest, DecodesLargeRowsInAnyOrderInBoundedTime) {
+  // Thresh and count come from the wire, so a frame can hold a few hundred
+  // thousand values in an order unrelated to the hash order: v2 preimages
+  // ascend by element (so their hash values arrive shuffled), and v1
+  // values need no order at all. Decoding must sort each batch once; one
+  // shift of the flat store per value would move ~count^2 / 4 keys here
+  // (hundreds of GB) and run for minutes.
+  constexpr uint64_t kCount = uint64_t{1} << 18;
+  const auto start = std::chrono::steady_clock::now();
+  Rng rng(71);
+  MinimumSketchRow row(32, kCount, rng);
+  std::vector<uint64_t> xs(kCount);
+  for (uint64_t i = 0; i < kCount; ++i) xs[i] = i * 0x9E3779B9ull;
+  row.Add(xs);
+  ASSERT_EQ(row.size(), kCount);
+
+  Result<MinimumSketchRow> v2 = SketchCodec::DecodeMinimumRow(
+      SketchCodec::Encode(row, SketchCodec::kFormatV2));
+  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+  EXPECT_TRUE(v2.value().values() == row.values());
+
+  // v1 with the values in descending order: every value lands in front of
+  // all earlier ones.
+  wire::ByteWriter w;
+  wire::EncodeAffineHash(w, row.hash(), SketchCodec::kFormatV1);
+  w.U64(kCount);
+  w.U64(kCount);
+  const MinimumSketchRow::Values values = row.values();
+  for (size_t i = values.size(); i-- > 0;) w.BitVecField(values[i]);
+  Result<MinimumSketchRow> v1 =
+      SketchCodec::DecodeMinimumRow(wire::WrapFrame(
+          SketchFrameKind::kMinimumRow, SketchCodec::kFormatV1, w.Take()));
+  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
+  EXPECT_TRUE(v1.value().values() == row.values());
+
+  // Seconds in any build, sanitizers included; the per-value shift path
+  // took minutes.
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(60));
+}
+
 TEST(SketchCodecTest, V2ToeplitzKindWithDenseMatrixStillRoundTrips) {
   // FromParts can claim kToeplitz for a matrix that is not Toeplitz; the
   // v2 encoder must detect that and embed dense rows instead of lying
@@ -691,6 +752,42 @@ TEST(SketchMergeTest, MergeIsIdempotent) {
     F0Estimator aa = Clone(a);
     ASSERT_TRUE(Merge(aa, a).ok());
     EXPECT_EQ(SketchCodec::Encode(aa), SketchCodec::Encode(a));
+  }
+}
+
+TEST(SketchMergeTest, SortedRunKmvMergeEqualsAddHashedUnion) {
+  // Merge(MinimumSketchRow&, ...) merges one row's ascending keys into the
+  // other's as a single sorted run, cut to thresh. Under random
+  // (overlapping) splits it must equal one row fed every value through
+  // AddHashed — for one-word (n = 16, m = 48), two-word (n = 32, m = 96)
+  // and a structured n > 64 width (n = 80, m = 240: four words,
+  // AddHashed-fed as §5 rows are).
+  Rng rng(61);
+  for (const int n : {16, 32, 80}) {
+    const AffineHash h = AffineHash::SampleToeplitz(n, 3 * n, rng);
+    for (const uint64_t thresh : {1u, 9u, 40u, 1000u}) {
+      for (int split = 0; split < 4; ++split) {
+        MinimumSketchRow left(h, thresh);
+        MinimumSketchRow right(h, thresh);
+        MinimumSketchRow reference(h, thresh);
+        for (int i = 0; i < 300; ++i) {
+          const BitVec v = h.Eval(BitVec::Random(n, rng));
+          reference.AddHashed(v);
+          const uint64_t side = rng.NextBelow(3);  // left, right or both
+          if (side != 1) left.AddHashed(v);
+          if (side != 0) right.AddHashed(v);
+        }
+        MinimumSketchRow merged = left;
+        ASSERT_TRUE(Merge(merged, right).ok());
+        EXPECT_TRUE(merged.values() == reference.values())
+            << "n=" << n << " thresh=" << thresh;
+        // The result keeps absorbing like any other row.
+        const BitVec extra = h.Eval(BitVec::Random(n, rng));
+        merged.AddHashed(extra);
+        reference.AddHashed(extra);
+        EXPECT_TRUE(merged.values() == reference.values());
+      }
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 // Tests for the affine hash families: exact 2-wise independence of
 // H_Toeplitz and H_xor over a fully enumerated small family, prefix-slice
-// structure, representation sizes, and Eval64 consistency.
+// structure, representation sizes, and Eval64 / packed word-at-a-time
+// evaluation consistency.
 #include "hash/hash_family.hpp"
 
 #include <gtest/gtest.h>
@@ -57,6 +58,45 @@ TEST(AffineHash, Eval64MatchesBitVecPath) {
   for (int trial = 0; trial < 30; ++trial) {
     const uint64_t x = rng.NextBelow(1u << 16);
     EXPECT_EQ(h.Eval64(x), h.Eval(BitVec::FromU64(x, 16)).ToU64());
+  }
+}
+
+TEST(AffineHash, PackedEvalMatchesMulAffine) {
+  // The word-at-a-time evaluation (EvalWord) and Eval, which runs on it for
+  // word-sized inputs, must equal the dense matrix product bit for bit —
+  // across word boundaries of the output (m = 63/64/65, 96, 192) and at
+  // the input-width extremes, for every sampling kind and for an
+  // arbitrary (non-Toeplitz) FromParts matrix.
+  Rng rng(23);
+  for (const int n : {1, 7, 31, 32, 63, 64}) {
+    for (const int m : {1, 63, 64, 65, 96, 192}) {
+      const AffineHash hashes[] = {
+          AffineHash::SampleToeplitz(n, m, rng),
+          AffineHash::SampleXor(n, m, rng),
+          AffineHash::SampleSparseXor(n, m, 0.3, rng),
+          AffineHash::FromParts(Gf2Matrix::Random(m, n, rng),
+                                BitVec::Random(m, rng),
+                                AffineHashKind::kXor)};
+      for (const AffineHash& h : hashes) {
+        ASSERT_EQ(h.out_words(), (m + 63) / 64);
+        for (int trial = 0; trial < 12; ++trial) {
+          const uint64_t low_mask = n == 64 ? ~0ull : (1ull << n) - 1;
+          const uint64_t u = trial == 0   ? 0
+                             : trial == 1 ? low_mask
+                                          : rng.NextU64() & low_mask;
+          const BitVec x = BitVec::FromU64(u, n);
+          const BitVec want = h.A().MulAffine(x, h.b());
+          ASSERT_EQ(h.Eval(x), want) << "n=" << n << " m=" << m;
+          // PackInput keeps only the low n bits, so high garbage is inert.
+          const uint64_t packed = h.PackInput(u | ~low_mask);
+          ASSERT_EQ(packed, x.words()[0]);
+          for (int w = 0; w < h.out_words(); ++w) {
+            ASSERT_EQ(h.EvalWord(packed, w), want.words()[w])
+                << "n=" << n << " m=" << m << " w=" << w;
+          }
+        }
+      }
+    }
   }
 }
 

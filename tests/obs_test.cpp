@@ -290,6 +290,28 @@ TEST(TraceTest, ConcurrentThreadsEachGetARing) {
   EXPECT_EQ(count, 4u * 16u);
 }
 
+TEST(TraceTest, ExitedThreadRingsAreAdoptedNotLeaked) {
+  // Threads started one after another share one ring: each adopts the
+  // ring its predecessor left behind, so tracing memory stays bounded by
+  // the threads alive at once, not by every thread ever started. The
+  // shared ring keeps the newest kSpanRingCapacity spans.
+  (void)DrainSpansJson();
+  const uint64_t dropped_before = SpansDropped();
+  constexpr int kExtra = 44;
+  for (int t = 0; t < kSpanRingCapacity + kExtra; ++t) {
+    std::thread([] { MCF0_TRACE_SPAN("test.sequential"); }).join();
+  }
+  EXPECT_EQ(SpansDropped() - dropped_before, static_cast<uint64_t>(kExtra));
+  const std::string json = DrainSpansJson();
+  size_t count = 0;
+  for (size_t pos = 0; (pos = json.find("\"name\":\"test.sequential\"",
+                                        pos)) != std::string::npos;
+       ++pos) {
+    ++count;
+  }
+  EXPECT_EQ(count, static_cast<size_t>(kSpanRingCapacity));
+}
+
 }  // namespace
 }  // namespace obs
 }  // namespace mcf0

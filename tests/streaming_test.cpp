@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 #include <unordered_set>
 
 #include "common/rng.hpp"
@@ -152,9 +153,61 @@ TEST(MinimumSketchRow, KeepsExactlyThreshSmallest) {
   }
   std::sort(hashes.begin(), hashes.end());
   hashes.erase(std::unique(hashes.begin(), hashes.end()), hashes.end());
-  ASSERT_EQ(row.values().size(), 20u);
-  auto it = row.values().begin();
-  for (int i = 0; i < 20; ++i, ++it) EXPECT_EQ(*it, hashes[i]);
+  const MinimumSketchRow::Values values = row.values();
+  ASSERT_EQ(values.size(), 20u);
+  for (size_t i = 0; i < 20; ++i) EXPECT_EQ(values[i], hashes[i]);
+}
+
+/// The thresh smallest distinct h(x) over `xs`, ascending — the KMV
+/// definition, computed with a std::set of Eval values.
+std::vector<BitVec> ReferenceKmv(const AffineHash& h, uint64_t thresh,
+                                 const std::vector<uint64_t>& xs) {
+  std::set<BitVec> all;
+  for (const uint64_t x : xs) {
+    all.insert(h.Eval(BitVec::FromU64(x, h.n())));
+  }
+  std::vector<BitVec> kept(all.begin(), all.end());
+  if (kept.size() > thresh) kept.resize(thresh);
+  return kept;
+}
+
+void ExpectValuesEqual(const MinimumSketchRow& row,
+                       const std::vector<BitVec>& want) {
+  const MinimumSketchRow::Values values = row.values();
+  ASSERT_EQ(values.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(values[i], want[i]) << "value " << i;
+  }
+}
+
+TEST(MinimumSketchRow, EarlyRejectTiesOnWordZeroFallThroughToWordOne) {
+  // Output rows 0..63 are zero, so every h(x) has the same word 0 (the
+  // offset's) and the top-word reject can never decide: each candidate
+  // ties with the maximum on word 0 and word 1 must settle it.
+  Rng rng(41);
+  const int n = 16;
+  const int m = 96;
+  Gf2Matrix a = Gf2Matrix::Random(m, n, rng);
+  for (int i = 0; i < 64; ++i) a.MutableRow(i) = BitVec(n);
+  const AffineHash tie = AffineHash::FromParts(std::move(a),
+                                               BitVec::Random(m, rng),
+                                               AffineHashKind::kXor);
+  std::vector<uint64_t> xs(2000);
+  for (auto& x : xs) x = rng.NextBelow(1u << n);
+  for (const uint64_t thresh : {1u, 7u, 50u}) {
+    MinimumSketchRow row(tie, thresh);
+    row.Add(xs);
+    ExpectValuesEqual(row, ReferenceKmv(tie, thresh, xs));
+  }
+
+  // And a random saturating stream through an ordinary Toeplitz row, fed
+  // item by item with duplicates mixed in.
+  MinimumSketchRow row(16, 30, rng);
+  std::vector<uint64_t> stream(3000);
+  for (auto& x : stream) x = rng.NextBelow(1500);
+  for (const uint64_t x : stream) row.Add(x);
+  ASSERT_TRUE(row.saturated());
+  ExpectValuesEqual(row, ReferenceKmv(row.hash(), 30, stream));
 }
 
 TEST(MinimumSketchRow, SubThresholdIsExactCount) {
