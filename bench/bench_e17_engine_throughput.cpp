@@ -196,7 +196,10 @@ void AbsorbItem(SlowShardSketch& sketch, uint64_t x) {
     // A synthetic per-item stall roughly 10x a Bucketing absorb
     // (~6us/item); compute rather than sleep, so the skew is CPU-shaped
     // and survives scheduler jitter.
-    for (volatile int spin = 0; spin < 70000; ++spin) {
+    // (`spin = spin + 1`: C++20 deprecates ++ on a volatile; this keeps
+    // the same one load and one store per iteration.)
+    for (volatile int spin = 0; spin < 70000;) {
+      spin = spin + 1;
     }
   }
   sketch.inner.Add(x);
@@ -296,7 +299,7 @@ StructuredMeasured RunStructuredSharded(const StructuredF0Params& params,
                                         int shards) {
   ShardedStructuredEngine engine(params, shards);
   WallTimer timer;
-  for (const Term& t : terms) engine.AddTerms({t});
+  for (const Term& t : terms) engine.Add(std::vector<Term>{t});
   engine.Flush();
   const double secs = timer.Seconds();
   StructuredF0 merged = engine.MergedSketch();

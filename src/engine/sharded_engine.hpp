@@ -19,10 +19,11 @@
 ///   * `Merge(Sketch&, const Sketch&)` — the exact union the replicas are
 ///     folded with on query (already defined for both sketch kinds).
 ///
-/// Two instantiations live below: `ShardedF0Engine` (raw `uint64_t`
-/// element streams, the API PR 2 introduced) and
-/// `ShardedStructuredEngine` (§5 structured set streams: DNF term groups,
-/// ranges, affine spaces, singletons — the structured analogue of E17).
+/// Two aliases name the instantiations: `ShardedF0Engine` (raw `uint64_t`
+/// element streams) and `ShardedStructuredEngine` (§5 structured set
+/// streams: DNF term groups, ranges, affine spaces, singletons). Both are
+/// built from params and own a built-in producer handle behind the
+/// engine-level Add/AddBatch.
 ///
 /// Ingestion is *multi-producer*: any number of threads may each hold a
 /// `Producer` handle (MakeProducer()). A handle buffers items privately
@@ -59,11 +60,13 @@
 ///
 /// Destruction order: every external `Producer` must be flushed or
 /// destroyed before its engine (handle destructors dispatch their tail
-/// buffer; the engine's workers drain all queues before honoring stop).
+/// buffer; the engine dispatches its built-in handle's tail itself, and
+/// the workers drain all queues before honoring stop).
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <concepts>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -95,8 +98,8 @@ namespace mcf0 {
 struct ShardedEngineOptions {
   /// Items buffered by Producer::Add() before a batch is dispatched.
   /// Large enough to amortize the queue handoff, small enough to keep
-  /// shards busy on modest streams. (Structured items are whole sets, so
-  /// the structured engine defaults much lower.)
+  /// shards busy on modest streams. (Engines built without options take
+  /// kDefaultBatchSize<Item>, much lower for structured items.)
   size_t batch_size = 2048;
 
   /// Bound on batches queued per shard; a producer blocks past this, so a
@@ -155,7 +158,12 @@ inline void AbsorbBatch(Sketch& sketch, std::span<const Item> items) {
   for (const Item& item : items) AbsorbItem(sketch, item);
 }
 
-/// The generic queue/worker/backpressure core; see the file comment.
+/// Batch-size customization point for engines built without options;
+/// item types with heavy per-item work specialize it (StructuredItem).
+template <typename Item>
+inline constexpr size_t kDefaultBatchSize = ShardedEngineOptions{}.batch_size;
+
+/// The sharded queue/worker/backpressure engine; see the file comment.
 template <typename Sketch, typename Item>
 class ShardedEngine {
  public:
@@ -290,17 +298,14 @@ class ShardedEngine {
   /// Spawns `num_shards` workers, each with a private replica from
   /// `factory`. num_shards >= 1; 1 degenerates to background
   /// single-thread ingestion.
-  ShardedEngine(ReplicaFactory factory, int num_shards,
-                ShardedEngineOptions options = {})
-      : factory_(std::move(factory)), options_(options) {
-    MCF0_CHECK(num_shards >= 1);
+  ShardedEngine(
+      ReplicaFactory factory, int num_shards,
+      ShardedEngineOptions options = {.batch_size = kDefaultBatchSize<Item>})
+      : factory_(std::move(factory)),
+        options_(options),
+        shards_(MakeShards(num_shards)),
+        builtin_(MakeProducer()) {
     MCF0_CHECK(options_.batch_size >= 1 && options_.max_queued_batches >= 1);
-    shards_.reserve(num_shards);
-    for (int i = 0; i < num_shards; ++i) {
-      shards_.push_back(std::make_unique<Shard>(factory_()));
-      shards_.back()->queue_depth = obs::Registry::Global().GetGauge(
-          "mcf0_engine_queue_depth", {{"shard", std::to_string(i)}});
-    }
     // Replicas first, threads second: if a sketch constructor throws
     // there are no workers to unwind.
     for (auto& shard : shards_) {
@@ -309,11 +314,18 @@ class ShardedEngine {
     }
   }
 
+  /// Every replica is `Sketch(params)`: same seed, identical hashes.
+  template <typename Params>
+    requires std::constructible_from<Sketch, const Params&>
+  ShardedEngine(const Params& params, int num_shards)
+      : ShardedEngine([params] { return Sketch(params); }, num_shards) {}
+
   /// Joins the workers after they drain their queues; producers must have
   /// been flushed or destroyed first (their destructors dispatch any tail
   /// buffer, and workers drain before honoring stop, so nothing ingested
-  /// is dropped).
+  /// is dropped). The built-in handle's tail is dispatched first here.
   ~ShardedEngine() {
+    builtin_.DispatchPending();
     for (auto& shard : shards_) {
       {
         std::lock_guard<std::mutex> lock(shard->mu);
@@ -336,12 +348,21 @@ class ShardedEngine {
     return Producer(this, start % shards_.size());
   }
 
-  /// Blocks until every batch dispatched before this call has been
-  /// absorbed by a replica. Safe to call while other producers keep
-  /// streaming (their later batches are not waited for). Items still in a
-  /// producer's private buffer are not yet part of the stream; flush the
-  /// producer to include them.
+  /// Add/AddBatch on the built-in handle (the first MakeProducer() handle,
+  /// never closed). Single-threaded like any handle: these and the
+  /// flushing calls below must not race; other threads make their own.
+  void Add(Item item) { (void)builtin_.Add(std::move(item)); }
+  void AddBatch(std::span<const Item> items) { (void)builtin_.AddBatch(items); }
+  /// Add(item) under the name structured-stream callers (perfbench) use.
+  void AddItem(Item item) { Add(std::move(item)); }
+
+  /// Dispatches the built-in handle's tail, then blocks until every batch
+  /// dispatched before this call has been absorbed by a replica. Safe to
+  /// call while other producers keep streaming (their later batches are
+  /// not waited for). Items still in a producer's private buffer are not
+  /// yet part of the stream; flush the producer to include them.
   void Flush() {
+    builtin_.DispatchPending();
     // Quiescent fast path off the relaxed mirrors: no shard mutex when
     // there is nothing to wait for. Ordering argument: a batch bumps
     // the enqueue mirror (under its shard lock) strictly before any
@@ -480,6 +501,9 @@ class ShardedEngine {
 
   const ShardedEngineOptions& options() const { return options_; }
 
+  /// The replicas' params, read from the first (they never change).
+  const auto& params() const { return shards_.front()->sketch.params(); }
+
  private:
   /// A queued batch carries the ticket it was enqueued under, so a
   /// thief can complete it against the home shard's watermark.
@@ -537,6 +561,18 @@ class ShardedEngine {
   /// wakeup could be lost); short periodic rescans make steals robust
   /// without cross-shard lock traffic on the enqueue hot path.
   static constexpr std::chrono::milliseconds kIdleRescanInterval{2};
+
+  std::vector<std::unique_ptr<Shard>> MakeShards(int num_shards) {
+    MCF0_CHECK(num_shards >= 1);
+    std::vector<std::unique_ptr<Shard>> shards;
+    shards.reserve(num_shards);
+    for (int i = 0; i < num_shards; ++i) {
+      shards.push_back(std::make_unique<Shard>(factory_()));
+      shards.back()->queue_depth = obs::Registry::Global().GetGauge(
+          "mcf0_engine_queue_depth", {{"shard", std::to_string(i)}});
+    }
+    return shards;
+  }
 
   static void MergeOrDie(Sketch& into, const Sketch& from) {
     const Status status = Merge(into, from);
@@ -779,6 +815,9 @@ class ShardedEngine {
   bool cache_built_ = false;
   std::atomic<uint64_t> cache_rebuilds_{0};
   std::atomic<uint64_t> cache_partial_rebuilds_{0};
+
+  // Last: MakeProducer() sizes its tickets by shards_.
+  Producer builtin_;
 };
 
 /// AbsorbItem customization point for raw element streams.
@@ -809,147 +848,15 @@ using StructuredItem =
 /// variant to the matching StructuredF0 adder.
 void AbsorbItem(StructuredF0& sketch, const StructuredItem& item);
 
-/// Sharded parallel ingestion of raw u64 element streams — the concrete
-/// engine PR 2 introduced, now a thin veneer over the generic core. The
-/// single-producer Add/AddBatch/Flush surface is preserved (routed
-/// through a built-in producer handle); MakeProducer() opens the
-/// multi-producer path.
-class ShardedF0Engine {
- public:
-  using Engine = ShardedEngine<F0Estimator, uint64_t>;
-  using Producer = Engine::Producer;
+/// Structured items are whole sets — per-item work dwarfs the queue
+/// handoff, so batches stay small to keep shards busy.
+template <>
+inline constexpr size_t kDefaultBatchSize<StructuredItem> = 16;
 
-  /// Spawns `num_shards` workers, each with a private replica built from
-  /// `params` (same seed, identical hash functions). num_shards >= 1.
-  ShardedF0Engine(const F0Params& params, int num_shards)
-      : params_(params),
-        core_([params] { return F0Estimator(params); }, num_shards),
-        producer_(core_.MakeProducer()) {}
+/// Sharded parallel ingestion of raw u64 element streams.
+using ShardedF0Engine = ShardedEngine<F0Estimator, uint64_t>;
 
-  /// Buffers one element on the built-in producer handle.
-  void Add(uint64_t x) { producer_.Add(x); }
-
-  /// The bulk hot path; copies the span, so the caller may reuse its
-  /// buffer immediately.
-  void AddBatch(std::span<const uint64_t> xs) { producer_.AddBatch(xs); }
-
-  /// New ingestion handles for additional producer threads.
-  Producer MakeProducer() { return core_.MakeProducer(); }
-
-  /// Drains the built-in handle's buffer and every batch it dispatched.
-  void Flush() { producer_.Flush(); }
-
-  /// Engine-wide flush + cached merge-on-query; see ShardedEngine.
-  F0Estimator MergedSketch() {
-    producer_.Flush();
-    return core_.MergedSketch();
-  }
-
-  /// Cached merged estimate; only shards that absorbed something since
-  /// the last query are refolded (ShardedEngine::Estimate).
-  double Estimate() {
-    producer_.Flush();
-    return core_.Estimate();
-  }
-
-  /// Merge without draining the queues; see ShardedEngine::SnapshotSketch.
-  F0Estimator SnapshotSketch() { return core_.SnapshotSketch(); }
-  double SnapshotEstimate() { return core_.SnapshotEstimate(); }
-
-  /// Flush + total footprint across the shard replicas.
-  size_t SpaceBits() {
-    producer_.Flush();
-    return core_.SpaceBits();
-  }
-
-  uint64_t elements_ingested() const { return core_.items_ingested(); }
-  int num_shards() const { return core_.num_shards(); }
-  const F0Params& params() const { return params_; }
-  uint64_t cache_rebuilds() const { return core_.cache_rebuilds(); }
-  uint64_t cache_partial_rebuilds() const {
-    return core_.cache_partial_rebuilds();
-  }
-  uint64_t batches_stolen() const { return core_.batches_stolen(); }
-  uint64_t queued_batches() const { return core_.queued_batches(); }
-  uint64_t queue_capacity() const { return core_.queue_capacity(); }
-
- private:
-  F0Params params_;
-  Engine core_;
-  Producer producer_;  // after core_: destroyed (and drained) first
-};
-
-/// Sharded parallel ingestion of §5 structured set streams: items (DNF
-/// term groups, ranges, affine spaces, singletons) are sharded across
-/// same-seed StructuredF0 replicas and merged on query — the structured
-/// analogue of ShardedF0Engine, with the same multi-producer surface.
-class ShardedStructuredEngine {
- public:
-  using Engine = ShardedEngine<StructuredF0, StructuredItem>;
-  using Producer = Engine::Producer;
-
-  ShardedStructuredEngine(const StructuredF0Params& params, int num_shards)
-      : params_(params),
-        core_([params] { return StructuredF0(params); }, num_shards,
-              // Structured items are whole sets — per-item work dwarfs the
-              // queue handoff, so batches stay small to keep shards busy.
-              ShardedEngineOptions{.batch_size = 16,
-                                   .max_queued_batches = 64}),
-        producer_(core_.MakeProducer()) {}
-
-  /// One stream item per call, on the built-in producer handle.
-  void AddTerms(std::vector<Term> terms) {
-    producer_.Add(StructuredItem(std::move(terms)));
-  }
-  void AddRange(MultiDimRange range) {
-    producer_.Add(StructuredItem(std::move(range)));
-  }
-  void AddAffine(Gf2Matrix a, BitVec b) {
-    producer_.Add(StructuredItem(AffineSpaceItem{std::move(a), std::move(b)}));
-  }
-  void AddElement(BitVec x) { producer_.Add(StructuredItem(std::move(x))); }
-  void AddItem(StructuredItem item) { producer_.Add(std::move(item)); }
-
-  /// New ingestion handles for additional producer threads.
-  Producer MakeProducer() { return core_.MakeProducer(); }
-
-  void Flush() { producer_.Flush(); }
-
-  /// Engine-wide flush + cached merge-on-query: byte-identical (post
-  /// encode) to a single-pass StructuredF0 over the same items.
-  StructuredF0 MergedSketch() {
-    producer_.Flush();
-    return core_.MergedSketch();
-  }
-
-  double Estimate() {
-    producer_.Flush();
-    return core_.Estimate();
-  }
-
-  StructuredF0 SnapshotSketch() { return core_.SnapshotSketch(); }
-  double SnapshotEstimate() { return core_.SnapshotEstimate(); }
-
-  size_t SpaceBits() {
-    producer_.Flush();
-    return core_.SpaceBits();
-  }
-
-  uint64_t items_ingested() const { return core_.items_ingested(); }
-  int num_shards() const { return core_.num_shards(); }
-  const StructuredF0Params& params() const { return params_; }
-  uint64_t cache_rebuilds() const { return core_.cache_rebuilds(); }
-  uint64_t cache_partial_rebuilds() const {
-    return core_.cache_partial_rebuilds();
-  }
-  uint64_t batches_stolen() const { return core_.batches_stolen(); }
-  uint64_t queued_batches() const { return core_.queued_batches(); }
-  uint64_t queue_capacity() const { return core_.queue_capacity(); }
-
- private:
-  StructuredF0Params params_;
-  Engine core_;
-  Producer producer_;  // after core_: destroyed (and drained) first
-};
+/// Sharded parallel ingestion of §5 structured set streams.
+using ShardedStructuredEngine = ShardedEngine<StructuredF0, StructuredItem>;
 
 }  // namespace mcf0

@@ -16,7 +16,8 @@
 /// Every Merge() checks compatibility first — identical hash state and
 /// thresholds — and returns InvalidArgument instead of silently producing a
 /// meaningless union. Replicas built from the same F0Params (same seed)
-/// are always compatible; that is the contract ShardedF0Engine and the
+/// are always compatible; that is the contract the sharded engine
+/// (`ShardedEngine`, every replica built from one params value) and the
 /// `mcf0 sketch merge` CLI rely on.
 ///
 /// `BucketingCoordinator` is the fingerprint-tuple variant of the same

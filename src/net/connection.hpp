@@ -5,8 +5,9 @@
 /// A `Connection` owns one accepted socket and speaks the protocol of
 /// protocol.hpp: hello/welcome negotiation, credit-metered batches,
 /// live queries, drain, goodbye. It talks to the sketch engine only
-/// through `EngineBackend` — the type-erased veneer over
-/// `ShardedF0Engine` / `ShardedStructuredEngine` that keeps the net
+/// through `EngineBackend` — the type-erased interface over the two
+/// `ShardedEngine` instantiations (`ShardedF0Engine` /
+/// `ShardedStructuredEngine`, server.hpp) that keeps the net
 /// layer ignorant of which item alphabet is behind the socket (and
 /// keeps src/net inside the sealed sketch API: no replica access, only
 /// producer handles and snapshot queries).

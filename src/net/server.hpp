@@ -43,7 +43,7 @@ class RawEngineBackend : public EngineBackend {
     return engine_->queue_capacity();
   }
   uint64_t items_ingested() const override {
-    return engine_->elements_ingested();
+    return engine_->items_ingested();
   }
   double SnapshotEstimate() override { return engine_->SnapshotEstimate(); }
   std::string EncodeSnapshot(uint16_t format_version) override;

@@ -119,7 +119,7 @@ TEST(MultiProducerEngineTest, FourProducersFourShardsMatchSequentialExactly) {
       }
       for (auto& thread : threads) thread.join();
     }
-    EXPECT_EQ(engine.elements_ingested(), xs.size());
+    EXPECT_EQ(engine.items_ingested(), xs.size());
     F0Estimator merged = engine.MergedSketch();
     EXPECT_EQ(SketchCodec::Encode(merged), SketchCodec::Encode(sequential));
     EXPECT_DOUBLE_EQ(engine.Estimate(), sequential.Estimate());
@@ -620,10 +620,10 @@ TEST(ShardedStructuredEngineTest, MixedItemKindsMatchSinglePass) {
   single.AddElement(BitVec::FromU64(200, 8));
 
   ShardedStructuredEngine engine(params, 2);
-  engine.AddTerms(terms);
-  engine.AddRange(range);
-  engine.AddAffine(a, b);
-  engine.AddElement(BitVec::FromU64(200, 8));
+  engine.Add(terms);
+  engine.Add(range);
+  engine.Add(AffineSpaceItem{a, b});
+  engine.Add(BitVec::FromU64(200, 8));
 
   EXPECT_EQ(SketchCodec::Encode(engine.MergedSketch()),
             SketchCodec::Encode(single));

@@ -846,7 +846,7 @@ TEST(ShardedEngineTest, MatchesSequentialIngestionExactly) {
     engine.AddBatch(std::span<const uint64_t>(xs.data(), half));
     for (size_t i = half; i < xs.size(); ++i) engine.Add(xs[i]);
 
-    EXPECT_EQ(engine.elements_ingested(), xs.size());
+    EXPECT_EQ(engine.items_ingested(), xs.size());
     F0Estimator merged = engine.MergedSketch();
     EXPECT_EQ(SketchCodec::Encode(merged), SketchCodec::Encode(sequential));
     EXPECT_DOUBLE_EQ(engine.Estimate(), sequential.Estimate());
@@ -881,7 +881,7 @@ TEST(ShardedEngineTest, ProducerCloseIsIdempotentFlushAndDetach) {
   // absorbed and visible to queries.
   EXPECT_TRUE(producer.Close().ok());
   EXPECT_TRUE(producer.closed());
-  EXPECT_EQ(engine.elements_ingested(), xs.size() + 1);
+  EXPECT_EQ(engine.items_ingested(), xs.size() + 1);
   EXPECT_DOUBLE_EQ(engine.Estimate(), 13.0);  // exact regime: 13 < thresh
 
   // Detached: nothing slips in afterwards, and the rejection says why.
@@ -890,12 +890,48 @@ TEST(ShardedEngineTest, ProducerCloseIsIdempotentFlushAndDetach) {
   EXPECT_EQ(add.code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(producer.AddBatch({&late, 1}).code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(engine.elements_ingested(), xs.size() + 1);
+  EXPECT_EQ(engine.items_ingested(), xs.size() + 1);
 
   // Idempotent: more Close (and Flush) calls are harmless no-ops.
   EXPECT_TRUE(producer.Close().ok());
   producer.Flush();
   EXPECT_DOUBLE_EQ(engine.Estimate(), 13.0);
+}
+
+TEST(ShardedEngineTest, BuiltInFlushFoldsItsOwnItemsWhileAnotherHandleBuffers) {
+  // The engine-level Add goes through the built-in producer handle, and
+  // Flush() dispatches that handle's tail: its items reach the replicas
+  // even while an external handle still buffers items it never sent.
+  const F0Params params = SmallParams(F0Algorithm::kMinimum);
+  ShardedF0Engine engine(params, 2);
+  ShardedF0Engine::Producer other = engine.MakeProducer();
+  for (uint64_t x = 100; x < 105; ++x) EXPECT_TRUE(other.Add(x).ok());
+  for (uint64_t x = 0; x < 10; ++x) engine.Add(x);  // < one batch: buffered
+
+  engine.Flush();
+  EXPECT_EQ(engine.items_ingested(), 15u);
+  EXPECT_DOUBLE_EQ(engine.SnapshotEstimate(), 10.0);  // exact: 10 < thresh
+  EXPECT_DOUBLE_EQ(engine.Estimate(), 10.0);  // `other` is still unflushed
+
+  other.Flush();
+  EXPECT_DOUBLE_EQ(engine.Estimate(), 15.0);
+}
+
+TEST(ShardedEngineTest, ParamsConstructorPicksBatchSizeByItemType) {
+  // Built from params, an engine takes kDefaultBatchSize<Item>: 2048 raw
+  // elements per batch, but only 16 structured items (whole sets).
+  const F0Params raw_params = SmallParams(F0Algorithm::kMinimum);
+  ShardedF0Engine raw(raw_params, 1);
+  EXPECT_EQ(raw.options().batch_size, 2048u);
+  EXPECT_EQ(raw.params(), raw_params);
+
+  StructuredF0Params structured_params;
+  structured_params.n = 8;
+  structured_params.thresh_override = 16;
+  structured_params.rows_override = 3;
+  ShardedStructuredEngine structured(structured_params, 2);
+  EXPECT_EQ(structured.options().batch_size, 16u);
+  EXPECT_EQ(structured.params(), structured_params);
 }
 
 TEST(ShardedEngineTest, MovedFromProducerIsDetached) {

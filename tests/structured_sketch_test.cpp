@@ -353,7 +353,7 @@ TEST(StructuredSketchMergeTest, ShardedEngineEqualsSinglePassBytes) {
     const StructuredF0 single = BuildSketch(params, terms);
 
     ShardedStructuredEngine engine(params, 4);
-    for (const Term& t : terms) engine.AddTerms({t});
+    for (const Term& t : terms) engine.Add(std::vector<Term>{t});
     StructuredF0 merged = engine.MergedSketch();
     EXPECT_EQ(SketchCodec::Encode(merged), SketchCodec::Encode(single));
     EXPECT_TRUE(merged.hashes_canonical());
@@ -373,7 +373,7 @@ TEST(StructuredSketchMergeTest, EngineAffineItemsEqualDirectAddAffine) {
       const Gf2Matrix a = Gf2Matrix::Random(3, params.n, rng);
       const BitVec b = BitVec::Random(3, rng);
       single.AddAffine(a, b);
-      engine.AddAffine(a, b);
+      engine.Add(AffineSpaceItem{a, b});
     }
     EXPECT_EQ(SketchCodec::Encode(engine.MergedSketch()),
               SketchCodec::Encode(single));
