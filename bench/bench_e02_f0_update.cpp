@@ -1,16 +1,19 @@
 // E2 — sketch space and per-item update time: both must be
 // poly(1/eps, log N), independent of the stream length. Space table
 // across eps, a kernel-tier table (scalar vs batched absorb on every
-// GF(2) kernel tier this CPU offers, medians of 5) feeding
-// BENCH_e02_hash.json, and google-benchmark timings for Add() when the
-// library is available.
+// GF(2) kernel tier this CPU offers, medians of 5), an Estimation
+// row-absorb table (the fused kernel vs the per-hash HornerBatch
+// reference on every tier, medians of 5) feeding BENCH_e02_hash.json,
+// and google-benchmark timings for Add() when the library is available.
 //
-// The tier table doubles as a gate: the batched span-Add path must not
-// be slower than item-at-a-time Add on any tier, and every (tier, path)
-// combination must produce byte-identical sketch encodings — tiers and
-// batching change the implementation, never the result. Any violation
-// exits 1. `--smoke` shrinks the stream for CI and skips the gbench
-// section.
+// Both tier tables double as gates: the batched span-Add path must not
+// be slower than item-at-a-time Add on any tier, the fused row absorb
+// must not be slower than the per-hash reference on any tier, and every
+// (tier, path) combination must produce byte-identical sketch encodings
+// and identical cells — tiers and batching change the implementation,
+// never the result. Any violation exits 1. `--smoke` shrinks the streams
+// for CI and skips the gbench section.
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <span>
@@ -22,6 +25,7 @@
 #include "common/timer.hpp"
 #include "engine/sketch_codec.hpp"
 #include "hash/gf2_kernels.hpp"
+#include "hash/gf2_poly.hpp"
 #include "streaming/f0_sketch.hpp"
 
 #if defined(MCF0_HAVE_GBENCH)
@@ -72,12 +76,12 @@ BENCHMARK(BM_SketchAdd)
     ->ArgNames({"alg", "eps_pct"});
 #endif  // MCF0_HAVE_GBENCH
 
-/// Tiers to benchmark: portable always, plus the hardware tier when the
-/// CPU has one (there is at most one per architecture).
+/// Tiers to benchmark: every tier this CPU can run, portable first.
 std::vector<gf2k::KernelTier> TiersToMeasure() {
-  std::vector<gf2k::KernelTier> tiers{gf2k::KernelTier::kPortable};
-  const gf2k::KernelTier detected = gf2k::DetectedKernelTier();
-  if (detected != gf2k::KernelTier::kPortable) tiers.push_back(detected);
+  std::vector<gf2k::KernelTier> tiers;
+  for (const gf2k::KernelTier tier : gf2k::kAllKernelTiers) {
+    if (gf2k::KernelTierAvailable(tier)) tiers.push_back(tier);
+  }
   return tiers;
 }
 
@@ -116,6 +120,59 @@ AbsorbRates MeasureAbsorb(const F0Params& params,
   }
   rates.scalar_elems_per_sec = Median(scalar_runs);
   rates.batched_elems_per_sec = Median(batched_runs);
+  return rates;
+}
+
+/// The per-hash absorb the fused kernel replaced: each hash evaluates
+/// 256-point blocks through EvalBatch (HornerBatch), then TrailZero64
+/// and a max per output.
+std::vector<int> HornerRowAbsorb(const EstimationSketchRow& row,
+                                 std::span<const uint64_t> xs, int w) {
+  std::vector<int> cells = row.cells();
+  std::vector<uint64_t> out(256);
+  for (size_t base = 0; base < xs.size(); base += out.size()) {
+    const size_t len = std::min(out.size(), xs.size() - base);
+    const std::span<uint64_t> block(out.data(), len);
+    for (size_t j = 0; j < row.hashes().size(); ++j) {
+      row.hashes()[j].EvalBatch(xs.subspan(base, len), block);
+      for (const uint64_t h : block) {
+        cells[j] = std::max(cells[j], TrailZero64(h, w));
+      }
+    }
+  }
+  return cells;
+}
+
+struct RowRates {
+  double horner_items_per_sec = 0.0;
+  double fused_items_per_sec = 0.0;
+  std::vector<int> horner_cells;
+  std::vector<int> fused_cells;
+};
+
+/// Medians of `runs` row absorbs on the *currently forced* tier, the two
+/// paths interleaved; each run starts from a fresh copy of `row`.
+RowRates MeasureRowAbsorb(const EstimationSketchRow& row,
+                          const std::vector<uint64_t>& xs, int w, int runs) {
+  RowRates rates;
+  std::vector<double> horner_runs;
+  std::vector<double> fused_runs;
+  for (int r = 0; r < runs; ++r) {
+    {
+      WallTimer timer;
+      rates.horner_cells = HornerRowAbsorb(row, xs, w);
+      horner_runs.push_back(static_cast<double>(xs.size()) / timer.Seconds());
+    }
+    {
+      EstimationSketchRow fused = row;
+      WallTimer timer;
+      fused.Add(std::span<const uint64_t>(xs));
+      fused_runs.push_back(static_cast<double>(xs.size()) / timer.Seconds());
+      rates.fused_cells = fused.cells();
+    }
+  }
+  rates.horner_items_per_sec = Median(horner_runs);
+  rates.fused_items_per_sec = Median(fused_runs);
   return rates;
 }
 
@@ -195,9 +252,63 @@ int main(int argc, char** argv) {
     rows.push_back({tier, rates});
   }
   const double portable_scalar = rows.front().rates.scalar_elems_per_sec;
-  const double best_batched = rows.back().rates.batched_elems_per_sec;
+  double best_batched = 0.0;
+  for (const TierRow& row : rows) {
+    best_batched = std::max(best_batched, row.rates.batched_elems_per_sec);
+  }
   std::printf("best batched vs portable scalar: %.2fx\n",
               best_batched / portable_scalar);
+
+  // Row-absorb table: one Estimation row of the tier table's shape
+  // (Thresh hashes of s coefficients over GF(2^n)) absorbing one stream,
+  // fused kernel vs the per-hash HornerBatch reference. Cells must match
+  // the portable reference on every tier.
+  const size_t row_elements = smoke ? 5000 : 20000;
+  const std::vector<uint64_t> row_stream(xs.begin(),
+                                         xs.begin() + row_elements);
+  const mcf0::Gf2Field field(tier_params.n);
+  mcf0::F0RowSampler sampler(tier_params);
+  const mcf0::EstimationSketchRow row =
+      sampler.NextEstimationPair(&field).first;
+  std::printf(
+      "\n-- Estimation row absorb (%zu hashes, s=%d, w=%d): per-hash "
+      "HornerBatch vs fused kernel (medians of %d) --\n",
+      row.hashes().size(), row.hashes().front().s(), tier_params.n, kRuns);
+  std::printf("%-9s %9s %12s %12s %9s\n", "tier", "elements", "horner/s",
+              "fused/s", "speedup");
+  struct RowAbsorbRow {
+    mcf0::gf2k::KernelTier tier;
+    RowRates rates;
+  };
+  std::vector<RowAbsorbRow> row_rows;
+  std::vector<int> reference_cells;  // portable per-hash absorb
+  for (const mcf0::gf2k::KernelTier tier : TiersToMeasure()) {
+    mcf0::gf2k::ForceKernelTier(tier);
+    const RowRates rates =
+        MeasureRowAbsorb(row, row_stream, tier_params.n, kRuns);
+    mcf0::gf2k::ForceKernelTier(std::nullopt);
+    if (tier == mcf0::gf2k::KernelTier::kPortable) {
+      reference_cells = rates.horner_cells;
+    }
+    std::printf("%-9s %9zu %12.0f %12.0f %8.2fx\n",
+                mcf0::gf2k::KernelTierName(tier), row_stream.size(),
+                rates.horner_items_per_sec, rates.fused_items_per_sec,
+                rates.fused_items_per_sec / rates.horner_items_per_sec);
+    if (rates.horner_cells != reference_cells ||
+        rates.fused_cells != reference_cells) {
+      std::printf("  ^ MISMATCH: %s row cells diverged from the portable "
+                  "per-hash absorb!\n",
+                  mcf0::gf2k::KernelTierName(tier));
+      return 1;
+    }
+    if (rates.fused_items_per_sec < rates.horner_items_per_sec) {
+      std::printf("  ^ GATE FAILED: fused row absorb slower than the "
+                  "per-hash reference on tier %s\n",
+                  mcf0::gf2k::KernelTierName(tier));
+      return 1;
+    }
+    row_rows.push_back({tier, rates});
+  }
 
   // Machine-readable summary (same manual-JSON idiom as BENCH_e17/e19).
   // Reaching this line means the byte-identity and not-slower gates held.
@@ -222,8 +333,22 @@ int main(int argc, char** argv) {
   json << "  ],\n"
        << "  \"best_batched_over_portable_scalar\": "
        << best_batched / portable_scalar << ",\n"
+       << "  \"row_elements\": " << row_stream.size() << ",\n"
+       << "  \"row_absorb\": [\n";
+  for (size_t i = 0; i < row_rows.size(); ++i) {
+    json << "    {\"tier\": \""
+         << mcf0::gf2k::KernelTierName(row_rows[i].tier)
+         << "\", \"horner_items_per_sec\": "
+         << row_rows[i].rates.horner_items_per_sec
+         << ", \"fused_items_per_sec\": "
+         << row_rows[i].rates.fused_items_per_sec << "}"
+         << (i + 1 < row_rows.size() ? "," : "") << "\n";
+  }
+  json << "  ],\n"
        << "  \"gate_batched_not_slower\": true,\n"
-       << "  \"bytes_identical\": true\n"
+       << "  \"gate_fused_not_slower\": true,\n"
+       << "  \"bytes_identical\": true,\n"
+       << "  \"cells_identical\": true\n"
        << "}\n";
   std::printf("wrote BENCH_e02_hash.json\n\n");
 

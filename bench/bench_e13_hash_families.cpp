@@ -11,6 +11,7 @@
 // the sliding-window BitVec Eval). google-benchmark latency timings run
 // afterwards when the library is available. `--smoke` shrinks the
 // batches for CI and skips the gbench section.
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <span>
@@ -85,12 +86,12 @@ BENCHMARK(BM_PolynomialHashEval)
     ->ArgNames({"w", "s"});
 #endif  // MCF0_HAVE_GBENCH
 
-/// Tiers to benchmark: portable always, plus the hardware tier when the
-/// CPU has one.
+/// Tiers to benchmark: every tier this CPU can run, portable first.
 std::vector<gf2k::KernelTier> TiersToMeasure() {
-  std::vector<gf2k::KernelTier> tiers{gf2k::KernelTier::kPortable};
-  const gf2k::KernelTier detected = gf2k::DetectedKernelTier();
-  if (detected != gf2k::KernelTier::kPortable) tiers.push_back(detected);
+  std::vector<gf2k::KernelTier> tiers;
+  for (const gf2k::KernelTier tier : gf2k::kAllKernelTiers) {
+    if (gf2k::KernelTierAvailable(tier)) tiers.push_back(tier);
+  }
   return tiers;
 }
 
@@ -274,11 +275,13 @@ int main(int argc, char** argv) {
          << rows[i].rates.batched_evals_per_sec << "}"
          << (i + 1 < rows.size() ? "," : "") << "\n";
   }
+  double best_batched = 0.0;
+  for (const TierRow& row : rows) {
+    best_batched = std::max(best_batched, row.rates.batched_evals_per_sec);
+  }
   json << "  ],\n"
        << "  \"best_batched_over_portable_scalar\": "
-       << rows.back().rates.batched_evals_per_sec /
-              rows.front().rates.scalar_evals_per_sec
-       << ",\n"
+       << best_batched / rows.front().rates.scalar_evals_per_sec << ",\n"
        << "  \"toeplitz_eval64_per_sec\": " << eval64_per_sec << ",\n"
        << "  \"toeplitz_eval_n256_per_sec\": " << eval256_per_sec << ",\n"
        << "  \"gate_batched_not_slower\": true,\n"

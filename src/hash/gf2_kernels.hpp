@@ -1,14 +1,20 @@
 /// \file gf2_kernels.hpp
 /// \brief Vectorized GF(2) carry-less-multiply kernels with runtime CPU
-/// dispatch — the arithmetic backend of `Gf2Field` and `PolynomialHash`.
+/// dispatch — the arithmetic backend of `Gf2Field`, `PolynomialHash` and
+/// the Estimation sketch row.
 ///
-/// Three tiers implement the same 64x64 -> 128 carry-less multiply and
+/// Four tiers implement the same 64x64 -> 128 carry-less multiply and
 /// the fold-based reduction mod an irreducible f = x^w + f_low:
 ///
 ///   * kPortable — shift-and-xor software multiply. Always available;
-///     the reference every other tier must match bit-for-bit.
+///     the reference every other tier must match bit-for-bit. The fused
+///     Estimation kernel bit-slices whole blocks of 64 points.
 ///   * kClmul    — x86-64 PCLMULQDQ, detected via CPUID at first use.
 ///   * kPmull    — arm64 NEON PMULL, detected via HWCAP at first use.
+///   * kVpclmul  — x86-64 AVX-512F/VL/CD + VPCLMULQDQ: the fused
+///     Estimation kernel runs 8 points per vector for w <= 32. Every
+///     other entry point (and the fused kernel for w > 32) runs the
+///     kClmul code under this tier.
 ///
 /// Tiers change the *implementation* of the arithmetic, never its
 /// results: a field product is a unique element, so sketches built under
@@ -18,12 +24,14 @@
 /// reported through the `mcf0_hash_kernel_tier` gauge so `mcf0 serve`
 /// stats show which kernel is live.
 ///
-/// The batch entry points (`MulVec`, `HornerBatch`) hoist the tier
-/// switch, the modulus, and the field mask out of the element loop —
-/// that amortization is where most of the batched-absorb speedup comes
-/// from even before the carry-less multiply gets hardware help.
+/// The batch entry points (`MulVec`, `HornerBatch`, `TrailZeroMaxBatch`)
+/// hoist the tier switch, the modulus, and the field mask out of the
+/// element loop — that amortization is where most of the batched-absorb
+/// speedup comes from even before the carry-less multiply gets hardware
+/// help.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -37,9 +45,17 @@ enum class KernelTier : int {
   kPortable = 0,  ///< software shift-and-xor (always available)
   kClmul = 1,     ///< x86-64 PCLMULQDQ
   kPmull = 2,     ///< arm64 NEON PMULL
+  kVpclmul = 3,   ///< x86-64 AVX-512 + VPCLMULQDQ
 };
 
-/// Tier name for logs / bench tables ("portable", "clmul", "pmull").
+/// Every tier, in enum order — tests and benches filter it through
+/// KernelTierAvailable() to cover whatever this CPU offers.
+inline constexpr std::array<KernelTier, 4> kAllKernelTiers = {
+    KernelTier::kPortable, KernelTier::kClmul, KernelTier::kPmull,
+    KernelTier::kVpclmul};
+
+/// Tier name for logs / bench tables ("portable", "clmul", "pmull",
+/// "vpclmul").
 const char* KernelTierName(KernelTier tier);
 
 /// The tier detection resolved: best tier the CPU supports, demoted to
@@ -104,6 +120,28 @@ void HornerBatch(std::span<const uint64_t> coeffs,
 void HornerBatchWithTier(KernelTier tier, std::span<const uint64_t> coeffs,
                          std::span<const uint64_t> xs, std::span<uint64_t> out,
                          int w, uint64_t mod_low);
+
+/// Fused Estimation-row absorb over P = cells.size() polynomials of s
+/// coefficients each, s = coeffs.size() / P. `coeffs` is k-major:
+/// coeffs[k * P + j] is the coefficient of x^k in p_j, a field element
+/// (high 64-w bits clear). Raises cells[j] to the largest
+/// TrailZero64(p_j(x & mask), w) over x in xs.
+///
+/// Per point the powers x^2 .. x^(s-1) are computed once and shared by
+/// all P polynomials; each polynomial then XORs its *unreduced*
+/// carry-less products a_k x^k and reduces once, with a fold count fixed
+/// per field — no data-dependent branch. Cells equal s-1 Horner steps +
+/// TrailZero64 per (point, polynomial), bit for bit; a zero coefficient
+/// adds nothing, so shorter polynomials zero-pad to s.
+void TrailZeroMaxBatch(std::span<const uint64_t> coeffs,
+                       std::span<const uint64_t> xs, std::span<int> cells,
+                       int w, uint64_t mod_low);
+
+/// TrailZeroMaxBatch on an explicit tier (parity tests / tier benches).
+void TrailZeroMaxBatchWithTier(KernelTier tier,
+                               std::span<const uint64_t> coeffs,
+                               std::span<const uint64_t> xs,
+                               std::span<int> cells, int w, uint64_t mod_low);
 
 }  // namespace gf2k
 }  // namespace mcf0

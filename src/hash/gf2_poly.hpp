@@ -8,6 +8,8 @@
 /// hard-coded tables, so every w in [1, 64] works.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -97,13 +99,11 @@ class PolynomialHash {
 };
 
 /// Number of trailing zero bits of the w-bit value `z` (the paper's
-/// TrailZero for machine-word hash outputs); returns w when z == 0.
+/// TrailZero for machine-word hash outputs), capped at w; returns w when
+/// z == 0 (countr_zero(0) is 64 >= w).
 inline int TrailZero64(uint64_t z, int w) {
   MCF0_DCHECK(w >= 1 && w <= 64);
-  if (z == 0) return w;
-  int t = 0;
-  while (((z >> t) & 1) == 0) ++t;
-  return t < w ? t : w;
+  return std::min(std::countr_zero(z), w);
 }
 
 }  // namespace mcf0

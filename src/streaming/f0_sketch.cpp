@@ -1,7 +1,6 @@
 #include "streaming/f0_sketch.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <iterator>
 #include <limits>
@@ -10,6 +9,7 @@
 #include <utility>
 
 #include "common/rng.hpp"
+#include "hash/gf2_kernels.hpp"
 #include "obs/metrics.hpp"
 
 namespace mcf0 {
@@ -266,35 +266,31 @@ EstimationSketchRow::EstimationSketchRow(const Gf2Field* field,
 }
 
 void EstimationSketchRow::Add(uint64_t x) {
-  MCF0_CHECK(field_ != nullptr);  // cells-only rows are Merge-fed
-  const int w = field_->degree();
-  for (size_t j = 0; j < hashes_.size(); ++j) {
-    const int t = TrailZero64(hashes_[j].Eval(x), w);
-    if (t > cells_[j]) cells_[j] = t;
-  }
+  Add(std::span<const uint64_t>(&x, 1));
 }
 
 void EstimationSketchRow::Add(std::span<const uint64_t> xs) {
   MCF0_CHECK(field_ != nullptr);  // cells-only rows are Merge-fed
-  const int w = field_->degree();
-  // Per-hash Horner over a block: coefficients, modulus, and kernel
-  // dispatch amortize across the block; 256 elements keeps the scratch
-  // on the stack.
-  std::array<uint64_t, 256> hashed;
-  for (size_t base = 0; base < xs.size(); base += hashed.size()) {
-    const size_t len = std::min(hashed.size(), xs.size() - base);
-    const auto block = xs.subspan(base, len);
-    const std::span<uint64_t> out(hashed.data(), len);
-    for (size_t j = 0; j < hashes_.size(); ++j) {
-      hashes_[j].EvalBatch(block, out);
-      int cell = cells_[j];
-      for (const uint64_t h : out) {
-        const int t = TrailZero64(h, w);
-        if (t > cell) cell = t;
-      }
-      cells_[j] = cell;
+  if (hashes_.empty()) return;
+  // Pack the coefficients k-major for the fused kernel. Rows decoded from
+  // embedded frames may mix values of s; shorter hashes zero-pad to the
+  // largest, and a zero coefficient adds nothing. The tile is per-thread
+  // scratch, so the row keeps no second copy of its coefficients.
+  const size_t polys = hashes_.size();
+  size_t s = 0;
+  for (const PolynomialHash& h : hashes_) {
+    s = std::max(s, static_cast<size_t>(h.s()));
+  }
+  thread_local std::vector<uint64_t> packed;
+  packed.assign(s * polys, 0);
+  for (size_t j = 0; j < polys; ++j) {
+    const std::vector<uint64_t>& coeffs = hashes_[j].coeffs();
+    for (size_t k = 0; k < coeffs.size(); ++k) {
+      packed[k * polys + j] = coeffs[k];
     }
   }
+  gf2k::TrailZeroMaxBatch(packed, xs, cells_, field_->degree(),
+                          field_->modulus_low());
 }
 
 void EstimationSketchRow::Merge(int j, int t) {

@@ -214,12 +214,13 @@ class EstimationSketchRow {
                       std::vector<PolynomialHash> hashes,
                       std::vector<int> cells);
 
+  /// A span of one.
   void Add(uint64_t x);
 
-  /// Batch absorb: each hash evaluates the whole block through
-  /// gf2k::HornerBatch (coefficients, modulus, and kernel dispatch shared
-  /// across B elements — the tentpole hot path). Byte-identical to
-  /// item-by-item Add: cells take maxima, which commute.
+  /// Batch absorb through the fused gf2k::TrailZeroMaxBatch kernel: the
+  /// powers of each point are shared by every hash of the row, and each
+  /// hash reduces once per point. Byte-identical to item-by-item Add:
+  /// cells take maxima, which commute.
   void Add(std::span<const uint64_t> xs);
 
   /// Raises cell j to at least `t` — the distributed merge path (§4).

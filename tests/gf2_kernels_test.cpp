@@ -12,9 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <ostream>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -27,6 +30,13 @@
 #include "streaming/f0_sketch.hpp"
 
 namespace mcf0 {
+namespace gf2k {
+
+// Tier names instead of raw bytes in parameterized test output.
+void PrintTo(KernelTier tier, std::ostream* os) { *os << KernelTierName(tier); }
+
+}  // namespace gf2k
+
 namespace {
 
 using gf2k::KernelTier;
@@ -73,6 +83,7 @@ TEST(KernelDispatchTest, TierNamesAreStable) {
   EXPECT_STREQ(gf2k::KernelTierName(KernelTier::kPortable), "portable");
   EXPECT_STREQ(gf2k::KernelTierName(KernelTier::kClmul), "clmul");
   EXPECT_STREQ(gf2k::KernelTierName(KernelTier::kPmull), "pmull");
+  EXPECT_STREQ(gf2k::KernelTierName(KernelTier::kVpclmul), "vpclmul");
 }
 
 // ---- scalar/SIMD parity ----------------------------------------------------
@@ -129,7 +140,8 @@ TEST(KernelParityTest, HornerBatchMatchesScalarEvalForEveryWidth) {
     for (size_t i = 0; i < xs.size(); ++i) want[i] = hash.Eval(xs[i]);
 
     for (const KernelTier tier :
-         {KernelTier::kPortable, KernelTier::kClmul, KernelTier::kPmull}) {
+         {KernelTier::kPortable, KernelTier::kClmul, KernelTier::kPmull,
+          KernelTier::kVpclmul}) {
       if (!gf2k::KernelTierAvailable(tier)) continue;
       ScopedTier force(tier);
       std::vector<uint64_t> got(xs.size());
@@ -139,6 +151,180 @@ TEST(KernelParityTest, HornerBatchMatchesScalarEvalForEveryWidth) {
     }
   }
 }
+
+// ---- fused Estimation-row kernel --------------------------------------------
+
+/// The per-hash reference the fused kernel replaces: Horner Eval plus
+/// TrailZero64 per (point, hash), cells raised to the maximum.
+void ReferenceAbsorb(const std::vector<PolynomialHash>& hashes,
+                     std::span<const uint64_t> xs, std::vector<int>& cells,
+                     int w) {
+  for (size_t j = 0; j < hashes.size(); ++j) {
+    for (const uint64_t x : xs) {
+      cells[j] = std::max(cells[j], TrailZero64(hashes[j].Eval(x), w));
+    }
+  }
+}
+
+/// hashes' coefficients k-major and zero-padded to the largest s — the
+/// layout TrailZeroMaxBatch takes.
+std::vector<uint64_t> PackKMajor(const std::vector<PolynomialHash>& hashes) {
+  size_t s = 0;
+  for (const auto& h : hashes) s = std::max(s, h.coeffs().size());
+  std::vector<uint64_t> packed(s * hashes.size(), 0);
+  for (size_t j = 0; j < hashes.size(); ++j) {
+    for (size_t k = 0; k < hashes[j].coeffs().size(); ++k) {
+      packed[k * hashes.size() + j] = hashes[j].coeffs()[k];
+    }
+  }
+  return packed;
+}
+
+class FusedKernelTest : public ::testing::TestWithParam<KernelTier> {};
+
+TEST_P(FusedKernelTest, MatchesPerHashEvalForEveryWidthSAndLaneTail) {
+  // Every field width, s in {1, 2, 3, 4, 8}, 1 / 7 / 150 polynomials
+  // and 0 / 1 / 7 / 8 / 9 / 257 points (the 8-lane tails), starting from
+  // nonzero cells so the max-with-existing path is covered too.
+  const KernelTier tier = GetParam();
+  if (!gf2k::KernelTierAvailable(tier)) {
+    GTEST_SKIP() << gf2k::KernelTierName(tier) << " is not available on "
+                 << "this CPU";
+  }
+  Rng rng(2027 + static_cast<int>(tier));
+  for (int w = 1; w <= 64; ++w) {
+    const Gf2Field field(w);
+    std::vector<uint64_t> xs(257);
+    for (auto& x : xs) x = rng.NextU64();  // high bits exercise the mask
+    for (const int s : {1, 2, 3, 4, 8}) {
+      std::vector<PolynomialHash> all;
+      for (int j = 0; j < 150; ++j) {
+        all.push_back(PolynomialHash::Sample(&field, s, rng));
+      }
+      for (const size_t polys : {size_t{1}, size_t{7}, size_t{150}}) {
+        const std::vector<PolynomialHash> hashes(all.begin(),
+                                                 all.begin() + polys);
+        const std::vector<uint64_t> packed = PackKMajor(hashes);
+        std::vector<int> start(polys);
+        for (auto& c : start) c = static_cast<int>(rng.NextBelow(w / 2 + 1));
+        for (const size_t points : {0, 1, 7, 8, 9, 257}) {
+          const std::span<const uint64_t> block(xs.data(), points);
+          std::vector<int> want = start;
+          ReferenceAbsorb(hashes, block, want, w);
+          std::vector<int> got = start;
+          gf2k::TrailZeroMaxBatchWithTier(tier, packed, block, got, w,
+                                          field.modulus_low());
+          ASSERT_EQ(got, want) << "w=" << w << " s=" << s << " polys="
+                               << polys << " points=" << points;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(FusedKernelTest, LongPolynomialsMatchPerHashEval) {
+  // s past the kernels' stack scratch (16 powers): the heap path.
+  const KernelTier tier = GetParam();
+  if (!gf2k::KernelTierAvailable(tier)) {
+    GTEST_SKIP() << gf2k::KernelTierName(tier) << " is not available on "
+                 << "this CPU";
+  }
+  Rng rng(2029);
+  for (const int w : {7, 32, 64}) {
+    const Gf2Field field(w);
+    std::vector<PolynomialHash> hashes;
+    for (int j = 0; j < 9; ++j) {
+      hashes.push_back(PolynomialHash::Sample(&field, 20, rng));
+    }
+    std::vector<uint64_t> xs(137);
+    for (auto& x : xs) x = rng.NextU64();
+    std::vector<int> want(hashes.size(), 0);
+    ReferenceAbsorb(hashes, xs, want, w);
+    std::vector<int> got(hashes.size(), 0);
+    gf2k::TrailZeroMaxBatchWithTier(tier, PackKMajor(hashes), xs, got, w,
+                                    field.modulus_low());
+    EXPECT_EQ(got, want) << "w=" << w;
+  }
+}
+
+TEST_P(FusedKernelTest, DenseModulusNeedsMoreFolds) {
+  // Every in-tree field folds at most twice; a dense modulus of degree
+  // w - 1 needs up to w - 1 folds. The arithmetic mod x^w + mod_low is
+  // well defined for any mod_low, so the portable HornerBatch is the
+  // reference.
+  const KernelTier tier = GetParam();
+  if (!gf2k::KernelTierAvailable(tier)) {
+    GTEST_SKIP() << gf2k::KernelTierName(tier) << " is not available on "
+                 << "this CPU";
+  }
+  Rng rng(2030);
+  for (const int w : {3, 17, 32, 33, 64}) {
+    const uint64_t mod_low = WidthMask(w) >> 1;
+    const size_t polys = 5;
+    const int s = 4;
+    std::vector<uint64_t> packed(polys * s);
+    for (auto& c : packed) c = rng.NextU64() & WidthMask(w);
+    std::vector<uint64_t> xs(137);
+    for (auto& x : xs) x = rng.NextU64();
+    std::vector<int> want(polys, 0);
+    std::vector<uint64_t> coeffs(s);
+    std::vector<uint64_t> out(xs.size());
+    for (size_t j = 0; j < polys; ++j) {
+      for (int k = 0; k < s; ++k) coeffs[k] = packed[k * polys + j];
+      gf2k::HornerBatchWithTier(KernelTier::kPortable, coeffs, xs, out, w,
+                                mod_low);
+      for (const uint64_t h : out) {
+        want[j] = std::max(want[j], TrailZero64(h, w));
+      }
+    }
+    std::vector<int> got(polys, 0);
+    gf2k::TrailZeroMaxBatchWithTier(tier, packed, xs, got, w, mod_low);
+    EXPECT_EQ(got, want) << "w=" << w;
+  }
+}
+
+TEST_P(FusedKernelTest, MixedSRowDecodedFromEmbeddedV2Frame) {
+  // An embedded frame carries every hash's own s; the row zero-pads the
+  // shorter ones to the largest. Absorbing after a decode must match
+  // the per-hash reference exactly.
+  const KernelTier tier = GetParam();
+  if (!gf2k::KernelTierAvailable(tier)) {
+    GTEST_SKIP() << gf2k::KernelTierName(tier) << " is not available on "
+                 << "this CPU";
+  }
+  Rng rng(2028);
+  for (const int w : {5, 32, 41, 64}) {
+    const Gf2Field field(w);
+    std::vector<PolynomialHash> hashes;
+    for (const int s : {1, 4, 2, 8, 3, 1, 6, 4, 2, 5, 7}) {
+      hashes.push_back(PolynomialHash::Sample(&field, s, rng));
+    }
+    const EstimationSketchRow original(&field, hashes,
+                                       std::vector<int>(hashes.size(), 0));
+    const std::string frame =
+        SketchCodec::Encode(original, SketchCodec::kFormatV2);
+    auto decoded = SketchCodec::DecodeEstimationRow(frame, &field);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EstimationSketchRow row = std::move(decoded).value();
+    ASSERT_EQ(row.hashes(), hashes);
+
+    std::vector<uint64_t> xs(101);
+    for (auto& x : xs) x = rng.NextU64();
+    std::vector<int> want(hashes.size(), 0);
+    ReferenceAbsorb(hashes, xs, want, w);
+    ScopedTier force(tier);
+    row.Add(std::span<const uint64_t>(xs));
+    EXPECT_EQ(row.cells(), want) << "w=" << w;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTiers, FusedKernelTest,
+    ::testing::Values(KernelTier::kPortable, KernelTier::kClmul,
+                      KernelTier::kPmull, KernelTier::kVpclmul),
+    [](const ::testing::TestParamInfo<KernelTier>& info) {
+      return std::string(gf2k::KernelTierName(info.param));
+    });
 
 // ---- packed Toeplitz -------------------------------------------------------
 
@@ -260,7 +446,8 @@ TEST(SpanAddByteIdentityTest, SpanAddEqualsItemAddOnEveryTierAndAlgorithm) {
     }
 
     for (const KernelTier tier :
-         {KernelTier::kPortable, KernelTier::kClmul, KernelTier::kPmull}) {
+         {KernelTier::kPortable, KernelTier::kClmul, KernelTier::kPmull,
+          KernelTier::kVpclmul}) {
       if (!gf2k::KernelTierAvailable(tier)) continue;
       ScopedTier force(tier);
       F0Estimator batched(params);

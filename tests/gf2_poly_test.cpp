@@ -180,6 +180,17 @@ TEST(TrailZero64, Definition) {
   EXPECT_EQ(TrailZero64(1, 16), 0);
   EXPECT_EQ(TrailZero64(0b1000, 16), 3);
   EXPECT_EQ(TrailZero64(1ull << 15, 16), 15);
+  // The cap: a set bit at or past w reads as w.
+  EXPECT_EQ(TrailZero64(1ull << 20, 16), 16);
+  // w = 1: a one-bit field.
+  EXPECT_EQ(TrailZero64(0, 1), 1);
+  EXPECT_EQ(TrailZero64(1, 1), 0);
+  EXPECT_EQ(TrailZero64(0b10, 1), 1);
+  // w = 64, including the top bit.
+  EXPECT_EQ(TrailZero64(0, 64), 64);
+  EXPECT_EQ(TrailZero64(1, 64), 0);
+  EXPECT_EQ(TrailZero64(1ull << 63, 64), 63);
+  EXPECT_EQ(TrailZero64(~0ull << 40, 64), 40);
 }
 
 }  // namespace
